@@ -8,12 +8,11 @@
 //
 //   ./bench_fig3_runtime [total_txns] [step]
 //
-// With --commit-path the binary instead runs the commit-latency A/B sweep:
-// the same NewOrder stream against synchronous compliance shipping (one
-// WORM fflush per hook) and the asynchronous group-commit shipper, and
-// writes BENCH_commit_path.json with both db.commit_us histograms. The
-// sync block is the stored baseline (bench/baselines/
-// BENCH_commit_path.sync-seed.json).
+// With --commit-path the binary instead measures the commit path: a
+// NewOrder stream under hash-on-read against a simulated WORM filer, with
+// the db.commit_us histogram, WORM flush count, and the critical-path
+// segment decomposition written to BENCH_commit_path.json
+// (--trace-json adds the Chrome trace of the measured region).
 //
 //   ./bench_fig3_runtime --commit-path [txns]
 //
@@ -142,27 +141,21 @@ struct CommitPathResult {
   }
 };
 
-int RunCommitPath(bool async, uint64_t txns, CommitPathResult* out) {
+int RunCommitPath(uint64_t txns, CommitPathResult* out) {
   tpcc::Scale scale;
   scale.warehouses = 1;
   // Hash-page-on-read (§V): every cache-miss read appends a READ_HASH
-  // record. Sync shipping pays one WORM fflush per record; the async
-  // shipper defers them to the next barrier, so the A/B isolates exactly
-  // the flush traffic group commit removes. The 100 us flush latency
-  // models the round trip to the paper's network WORM filer (same class
-  // of cost as the 120 us page-I/O latency in the Fig. 3 configs); on
-  // local storage an fflush is nearly free and there is nothing for
-  // group commit to amortize. The 10 ms group-commit window is tuned to
-  // that round trip: commits arrive far more often than the window
-  // expires, so every drain is an inline barrier steal and the shipper
-  // never holds the store mid-flush when a commit lands.
+  // record, which waits in the compliance log's tail for the next
+  // durability barrier. The 100 us flush latency models the round trip to
+  // the paper's network WORM filer (same class of cost as the 120 us
+  // page-I/O latency in the Fig. 3 configs); on local storage an fflush is
+  // nearly free and there is nothing for the barriers to amortize.
   auto env = TpccEnv::Create(BenchDir("commit_path"),
                              Mode::kLogConsistentHashOnRead,
                              /*cache_pages=*/192, scale, /*seed=*/1234,
                              /*tsb=*/false, /*tsb_threshold=*/0.5,
-                             /*io_latency_micros=*/0, async,
-                             /*worm_flush_latency_micros=*/100,
-                             /*group_commit_window_micros=*/10000);
+                             /*io_latency_micros=*/0,
+                             /*worm_flush_latency_micros=*/100);
   if (!env.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
                  env.status().ToString().c_str());
@@ -222,16 +215,49 @@ int RunCommitPath(bool async, uint64_t txns, CommitPathResult* out) {
   return 0;
 }
 
-std::string CommitPathJson(const char* label, const CommitPathResult& r) {
+int RunCommitPathBench(uint64_t txns, const std::string& trace_path) {
+  std::printf("=== commit path (%llu NewOrder) ===\n",
+              static_cast<unsigned long long>(txns));
+  CommitPathResult r;
+  if (RunCommitPath(txns, &r) != 0) return 1;
+
+  // Warmup reset the span/trace rings, so they hold the measured region.
+  // Export it before anything else touches the rings.
+  if (!trace_path.empty()) {
+    Status ts = obs::WriteChromeTraceFile(trace_path);
+    if (!ts.ok()) {
+      std::fprintf(stderr, "%s\n", ts.ToString().c_str());
+      return 1;
+    }
+    std::printf("trace artifact: %s (chrome://tracing)\n", trace_path.c_str());
+  }
+
+  std::printf("%10s %10s %10s %10s %12s\n", "p50_us", "p95_us", "p99_us",
+              "max_us", "worm_flushes");
+  std::printf("%10.1f %10.1f %10.1f %10llu %12llu\n", r.p50, r.p95, r.p99,
+              static_cast<unsigned long long>(r.max_us),
+              static_cast<unsigned long long>(r.worm_flushes));
+  std::printf("\ncritical-path decomposition (sum over commits, micros):\n");
+  std::printf("%14s %12s %12s %12s %14s %10s\n", "foreground", "queued",
+              "drain", "worm_flush", "segments_sum", "vs_total");
+  std::printf("%14llu %12llu %12llu %12llu %14llu %9.2f%%\n",
+              static_cast<unsigned long long>(r.seg_foreground_us),
+              static_cast<unsigned long long>(r.seg_queued_us),
+              static_cast<unsigned long long>(r.seg_drain_us),
+              static_cast<unsigned long long>(r.seg_worm_us),
+              static_cast<unsigned long long>(r.SegmentsSum()),
+              r.SegmentsErrPct());
+
   char buf[768];
   std::snprintf(buf, sizeof(buf),
-                "\"%s\":{\"elapsed_seconds\":%.6f,\"commits\":%llu,"
+                "{\"bench\":\"commit_path\",\"txns\":%llu,"
+                "\"elapsed_seconds\":%.6f,\"commits\":%llu,"
                 "\"sum_us\":%llu,\"max_us\":%llu,\"p50_us\":%.1f,"
                 "\"p95_us\":%.1f,\"p99_us\":%.1f,\"worm_flushes\":%llu,"
                 "\"segments\":{\"foreground_us\":%llu,\"queued_us\":%llu,"
                 "\"drain_us\":%llu,\"worm_us\":%llu,\"sum_us\":%llu,"
-                "\"vs_commit_us_err_pct\":%.2f}}",
-                label, r.elapsed_seconds,
+                "\"vs_commit_us_err_pct\":%.2f}}\n",
+                static_cast<unsigned long long>(txns), r.elapsed_seconds,
                 static_cast<unsigned long long>(r.commits),
                 static_cast<unsigned long long>(r.sum_us),
                 static_cast<unsigned long long>(r.max_us), r.p50, r.p95,
@@ -242,71 +268,9 @@ std::string CommitPathJson(const char* label, const CommitPathResult& r) {
                 static_cast<unsigned long long>(r.seg_worm_us),
                 static_cast<unsigned long long>(r.SegmentsSum()),
                 r.SegmentsErrPct());
-  return buf;
-}
-
-void PrintSegments(const char* label, const CommitPathResult& r) {
-  std::printf("%8s %14llu %12llu %12llu %12llu %14llu %9.2f%%\n", label,
-              static_cast<unsigned long long>(r.seg_foreground_us),
-              static_cast<unsigned long long>(r.seg_queued_us),
-              static_cast<unsigned long long>(r.seg_drain_us),
-              static_cast<unsigned long long>(r.seg_worm_us),
-              static_cast<unsigned long long>(r.SegmentsSum()),
-              r.SegmentsErrPct());
-}
-
-int RunCommitPathSweep(uint64_t txns, const std::string& trace_path) {
-  // The env override would force async for both arms of the A/B.
-  ::unsetenv("COMPLYDB_COMPLIANCE_ASYNC");
-  std::printf("=== commit path: sync vs async shipping (%llu NewOrder) ===\n",
-              static_cast<unsigned long long>(txns));
-
-  CommitPathResult sync_r, async_r;
-  if (RunCommitPath(/*async=*/false, txns, &sync_r) != 0) return 1;
-  if (RunCommitPath(/*async=*/true, txns, &async_r) != 0) return 1;
-
-  // The async arm ran last, so the span/trace rings still hold its
-  // measured region (Warmup resets both before each arm). Export it
-  // before anything else touches the rings.
-  if (!trace_path.empty()) {
-    Status ts = obs::WriteChromeTraceFile(trace_path);
-    if (!ts.ok()) {
-      std::fprintf(stderr, "%s\n", ts.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace artifact: %s (async arm, chrome://tracing)\n",
-                trace_path.c_str());
-  }
-
-  std::printf("%8s %10s %10s %10s %10s %12s\n", "mode", "p50_us", "p95_us",
-              "p99_us", "max_us", "worm_flushes");
-  std::printf("%8s %10.1f %10.1f %10.1f %10llu %12llu\n", "sync", sync_r.p50,
-              sync_r.p95, sync_r.p99,
-              static_cast<unsigned long long>(sync_r.max_us),
-              static_cast<unsigned long long>(sync_r.worm_flushes));
-  std::printf("%8s %10.1f %10.1f %10.1f %10llu %12llu\n", "async",
-              async_r.p50, async_r.p95, async_r.p99,
-              static_cast<unsigned long long>(async_r.max_us),
-              static_cast<unsigned long long>(async_r.worm_flushes));
-  double p95_improvement =
-      sync_r.p95 > 0 ? 100.0 * (sync_r.p95 - async_r.p95) / sync_r.p95 : 0;
-  std::printf("p95 improvement: %.1f%%\n", p95_improvement);
-
-  std::printf("\ncritical-path decomposition (sum over commits, micros):\n");
-  std::printf("%8s %14s %12s %12s %12s %14s %10s\n", "mode", "foreground",
-              "queued", "drain", "worm_flush", "segments_sum", "vs_total");
-  PrintSegments("sync", sync_r);
-  PrintSegments("async", async_r);
-
-  std::string json = "{\"bench\":\"commit_path\",\"txns\":" +
-                     std::to_string(txns) + "," +
-                     CommitPathJson("sync", sync_r) + "," +
-                     CommitPathJson("async", async_r) +
-                     ",\"p95_improvement_pct\":" +
-                     std::to_string(p95_improvement) + "}\n";
   std::FILE* f = std::fopen("BENCH_commit_path.json", "w");
   if (f == nullptr) return 1;
-  std::fwrite(json.data(), 1, json.size(), f);
+  std::fputs(buf, f);
   std::fclose(f);
   std::printf("metrics artifact: BENCH_commit_path.json\n");
   return 0;
@@ -492,9 +456,8 @@ int RunWriteScalingPoint(uint32_t write_threads, bool scheduler_on,
   // page *read*, free writes) puts the cost where the scheduler can
   // overlap it — execute-phase reads. Writes replay serially inside the
   // turnstile either way, so pricing them would only add a fixed serial
-  // term to every arm. The 0.5 ms WORM flush and 10 ms group-commit window
-  // keep the epoch barrier the other amortized cost, as in the original
-  // pipeline sweep. --cross-rate (basis points of cross-warehouse
+  // term to every arm. The 0.5 ms WORM flush keeps the epoch barrier the
+  // other amortized cost, as in the original pipeline sweep. --cross-rate (basis points of cross-warehouse
   // NewOrder items / remote Payments) dials footprint fallbacks from
   // none (0) to every-slot (10000): fallback slots admit exclusively, so
   // the A/B gain decays toward 1.0 as the rate rises.
@@ -502,9 +465,8 @@ int RunWriteScalingPoint(uint32_t write_threads, bool scheduler_on,
       BenchDir("write_scaling"), Mode::kLogConsistent,
       /*cache_pages=*/192, scale, /*seed=*/1234,
       /*tsb=*/false, /*tsb_threshold=*/0.5,
-      /*io_latency_micros=*/0, /*async_shipping=*/true,
-      /*worm_flush_latency_micros=*/500,
-      /*group_commit_window_micros=*/10000, write_threads,
+      /*io_latency_micros=*/0, /*worm_flush_latency_micros=*/500,
+      write_threads,
       [scheduler_on](DbOptions* options) {
         options->io_read_latency_micros = 500;
         options->slot_scheduler = scheduler_on;
@@ -651,8 +613,7 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
                      ",\"cross_rate_bp\":" + std::to_string(cross_bp) +
                      ",\"warehouses\":8,\"cache_pages\":192,"
                      "\"io_read_latency_micros\":500,"
-                     "\"worm_flush_latency_micros\":500,"
-                     "\"group_commit_window_micros\":10000,\"sweep\":[";
+                     "\"worm_flush_latency_micros\":500,\"sweep\":[";
   for (size_t i = 0; i < sweep.size(); ++i) {
     const WriteScalingResult& r = sweep[i];
     char buf[768];
@@ -706,7 +667,6 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--write-threads") == 0) {
     // The env overrides would skew individual sweep points.
     ::unsetenv("COMPLYDB_WRITE_THREADS");
-    ::unsetenv("COMPLYDB_COMPLIANCE_ASYNC");
     ::unsetenv("COMPLYDB_SLOT_SCHEDULER");
     int64_t cross_bp = StripInt64Flag(&argc, argv, "--cross-rate", -1);
     return RunWriteScalingSweep(ArgOr(argc, argv, 2, 1500), cross_bp);
@@ -714,9 +674,9 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--commit-path") == 0) {
     std::string trace_path = StripTraceJsonFlag(&argc, argv, "commit_path");
     // 2000 NewOrders grow the database past the 192-page cache, the
-    // disk-resident regime where lazy-timestamping reads miss and the
-    // sync path pays a WORM round trip per READ_HASH inside commit.
-    return RunCommitPathSweep(ArgOr(argc, argv, 2, 2000), trace_path);
+    // disk-resident regime where lazy-timestamping reads miss and append
+    // READ_HASH records inside the commit window.
+    return RunCommitPathBench(ArgOr(argc, argv, 2, 2000), trace_path);
   }
   std::string metrics_path = StripMetricsJsonFlag(&argc, argv, "fig3_runtime");
   Timer run_timer;

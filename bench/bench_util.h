@@ -66,8 +66,7 @@ struct TpccEnv {
       const std::string& dir, Mode mode, size_t cache_pages,
       const tpcc::Scale& scale, uint64_t seed, bool tsb = false,
       double tsb_threshold = 0.5, uint64_t io_latency_micros = 0,
-      bool async_shipping = false, uint64_t worm_flush_latency_micros = 0,
-      uint64_t group_commit_window_micros = 0, uint32_t write_threads = 1,
+      uint64_t worm_flush_latency_micros = 0, uint32_t write_threads = 1,
       const std::function<void(DbOptions*)>& tweak = nullptr) {
     std::filesystem::remove_all(dir);
     TpccEnv env;
@@ -81,12 +80,7 @@ struct TpccEnv {
     options.compliance.hash_on_read =
         mode == Mode::kLogConsistentHashOnRead;
     options.compliance.regret_interval_micros = 5 * kMinute;
-    options.compliance.async_shipping = async_shipping;
     options.worm_flush_latency_micros = worm_flush_latency_micros;
-    if (group_commit_window_micros > 0) {
-      options.compliance.group_commit_window_micros =
-          group_commit_window_micros;
-    }
     options.tsb_enabled = tsb;
     options.tsb_split_threshold = tsb_threshold;
     options.write_threads = write_threads;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/coding.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace complydb {
@@ -13,6 +14,24 @@ std::string PadNum(uint64_t n) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%08" PRIu64, n);
   return buf;
+}
+
+struct ShipperMetrics {
+  obs::Gauge* queue_depth;
+  obs::Counter* flushes;
+  obs::Counter* shipped_bytes;
+  obs::Histogram* records_per_flush;
+  ShipperMetrics() {
+    auto& reg = obs::MetricsRegistry::Global();
+    queue_depth = reg.GetGauge("compliance.shipper.queue_depth");
+    flushes = reg.GetCounter("compliance.shipper.flushes");
+    shipped_bytes = reg.GetCounter("compliance.shipper.shipped_bytes");
+    records_per_flush = reg.GetHistogram("compliance.shipper.records_per_flush");
+  }
+};
+ShipperMetrics& Sm() {
+  static ShipperMetrics m;
+  return m;
 }
 
 std::string StampIndexEntry(TxnId txn_id, uint64_t offset,
@@ -42,40 +61,39 @@ std::string HistPageFileName(uint32_t tree_id, uint64_t seq) {
   return "hist_" + PadNum(tree_id) + "_" + PadNum(seq);
 }
 
-ComplianceLog::~ComplianceLog() = default;
-
-void ComplianceLog::StartShipper() {
-  if (!opts_.async) return;
-  shipper_ = std::make_unique<LogShipper>(
-      worm_, LogFileName(epoch_), StampIndexFileName(epoch_), size_,
-      opts_.group_commit_window_micros);
-}
+ComplianceLog::ComplianceLog(WormStore* worm, uint64_t epoch,
+                             ComplianceLogOptions opts)
+    : worm_(worm),
+      epoch_(epoch),
+      opts_(opts),
+      log_file_(LogFileName(epoch)),
+      index_file_(StampIndexFileName(epoch)) {}
 
 Status ComplianceLog::Create() {
-  CDB_RETURN_IF_ERROR(worm_->Create(LogFileName(epoch_), 0));
-  CDB_RETURN_IF_ERROR(worm_->Create(StampIndexFileName(epoch_), 0));
-  size_ = 0;
-  record_count_ = 0;
-  durable_offset_ = 0;
-  StartShipper();
+  CDB_RETURN_IF_ERROR(worm_->Create(log_file_, 0));
+  CDB_RETURN_IF_ERROR(worm_->Create(index_file_, 0));
   return Status::OK();
 }
 
 Status ComplianceLog::OpenExisting() {
-  auto info = worm_->GetInfo(LogFileName(epoch_));
+  auto info = worm_->GetInfo(log_file_);
   if (!info.ok()) return info.status();
-  size_ = info.value().size;
-  durable_offset_ = size_;
   if (opts_.repair_stamp_index) {
     CDB_RETURN_IF_ERROR(RepairStampIndex());
   }
-  StartShipper();
   // Count records (cheap single pass; also validates framing).
-  record_count_ = 0;
-  return Scan([&](const CRecord&, uint64_t) {
-    ++record_count_;
+  uint64_t records = 0;
+  std::string blob;
+  CDB_RETURN_IF_ERROR(worm_->ReadAll(log_file_, &blob));
+  CDB_RETURN_IF_ERROR(ScanCRecords(blob, [&](const CRecord&, uint64_t) {
+    ++records;
     return Status::OK();
-  });
+  }));
+  std::lock_guard<std::mutex> lock(mu_);
+  size_ = info.value().size;
+  durable_offset_ = size_;
+  record_count_ = records;
+  return Status::OK();
 }
 
 // The stamp index is a derived structure: every entry is computable from
@@ -84,13 +102,12 @@ Status ComplianceLog::OpenExisting() {
 // entries are reconstructed byte-for-byte, so a later audit sees the same
 // index a crash-free run would have produced.
 Status ComplianceLog::RepairStampIndex() {
-  const std::string idx_name = StampIndexFileName(epoch_);
-  if (!worm_->Exists(idx_name)) {
+  if (!worm_->Exists(index_file_)) {
     // Lost in the Create window (L created, index not yet); recreate.
-    CDB_RETURN_IF_ERROR(worm_->Create(idx_name, 0));
+    CDB_RETURN_IF_ERROR(worm_->Create(index_file_, 0));
   }
   std::string idx_blob;
-  CDB_RETURN_IF_ERROR(worm_->ReadAll(idx_name, &idx_blob));
+  CDB_RETURN_IF_ERROR(worm_->ReadAll(index_file_, &idx_blob));
   if (idx_blob.size() % 24 != 0) {
     // Torn trailing entry would need truncation, which WORM forbids; the
     // auditor reports it. Do not mask by appending after garbage.
@@ -98,7 +115,7 @@ Status ComplianceLog::RepairStampIndex() {
   }
   uint64_t have = idx_blob.size() / 24;
   std::string log_blob;
-  CDB_RETURN_IF_ERROR(worm_->ReadAll(LogFileName(epoch_), &log_blob));
+  CDB_RETURN_IF_ERROR(worm_->ReadAll(log_file_, &log_blob));
   uint64_t seen = 0;
   std::string missing;
   CDB_RETURN_IF_ERROR(
@@ -109,62 +126,27 @@ Status ComplianceLog::RepairStampIndex() {
         return Status::OK();
       }));
   if (missing.empty()) return Status::OK();
-  return worm_->Append(idx_name, missing);
+  return worm_->Append(index_file_, missing);
 }
 
 Status ComplianceLog::AppendUnflushed(const CRecord& rec) {
   std::string framed = rec.Encode();
-  uint64_t offset = size_;
-  if (shipper_ != nullptr) {
-    CDB_RETURN_IF_ERROR(shipper_->error());
-    size_ += framed.size();
-    ++record_count_;
-    if (rec.type == CRecordType::kStampTrans) {
-      shipper_->EnqueueIndex(
-          StampIndexEntry(rec.txn_id, offset, rec.commit_time));
-    }
-    shipper_->EnqueueLog(std::move(framed), size_);
-    return Status::OK();
+  std::unique_lock<std::mutex> lock(mu_);
+  CDB_RETURN_IF_ERROR(error_);
+  if (rec.type == CRecordType::kStampTrans) {
+    // The index entry rides the same drain as its STAMP_TRANS, so a commit
+    // costs one flush, not two.
+    pending_index_ += StampIndexEntry(rec.txn_id, size_, rec.commit_time);
   }
-  CDB_RETURN_IF_ERROR(worm_->AppendUnflushed(LogFileName(epoch_), framed));
+  pending_log_ += framed;
   size_ += framed.size();
   ++record_count_;
-  if (rec.type == CRecordType::kStampTrans) {
-    CDB_RETURN_IF_ERROR(worm_->AppendUnflushed(
-        StampIndexFileName(epoch_),
-        StampIndexEntry(rec.txn_id, offset, rec.commit_time)));
+  ++pending_records_;
+  Sm().queue_depth->Set(static_cast<int64_t>(pending_records_));
+  if (pending_log_.size() + pending_index_.size() > kMaxPendingBytes) {
+    return FlushThroughLocked(lock, size_);
   }
   return Status::OK();
-}
-
-Status ComplianceLog::Flush() { return FlushThrough(size_); }
-
-Status ComplianceLog::FlushThrough(uint64_t offset) {
-  if (shipper_ != nullptr) return shipper_->WaitDurable(offset);
-  if (offset <= durable_offset_) return Status::OK();
-  // The stamp index is deliberately *not* flushed here: its entries are
-  // derivable from L (RepairStampIndex), so a commit costs one WORM
-  // fflush. Readers see the buffered bytes because WormStore::ReadAll
-  // drains the append handle first.
-  //
-  // With synchronous shipping this fflush *is* the commit's WORM round
-  // trip; attribute it to the committing thread's worm_flush segment (the
-  // appends themselves stay in foreground — there is no drain to steal).
-  const bool spans =
-      obs::SpansEnabled() && obs::ActiveCommitSegments()->active;
-  const uint64_t flush_start = spans ? obs::MonotonicMicros() : 0;
-  CDB_RETURN_IF_ERROR(worm_->FlushAppends(LogFileName(epoch_)));
-  if (spans) {
-    obs::RecordWormFlushInterval(flush_start, obs::MonotonicMicros(),
-                                 /*batch_id=*/0);
-  }
-  durable_offset_ = size_;
-  return Status::OK();
-}
-
-uint64_t ComplianceLog::durable_offset() const {
-  if (shipper_ != nullptr) return shipper_->durable_offset();
-  return durable_offset_;
 }
 
 Status ComplianceLog::Append(const CRecord& rec) {
@@ -172,24 +154,121 @@ Status ComplianceLog::Append(const CRecord& rec) {
   return Flush();
 }
 
-Status ComplianceLog::SyncForRead() const {
-  if (shipper_ != nullptr) return shipper_->WaitDurable(size_);
-  return Status::OK();
+Status ComplianceLog::Flush() {
+  std::unique_lock<std::mutex> lock(mu_);
+  return FlushThroughLocked(lock, size_);
+}
+
+Status ComplianceLog::FlushThrough(uint64_t offset) {
+  std::unique_lock<std::mutex> lock(mu_);
+  return FlushThroughLocked(lock, offset);
+}
+
+Status ComplianceLog::FlushThroughLocked(std::unique_lock<std::mutex>& lock,
+                                         uint64_t offset) {
+  if (offset > size_) offset = size_;
+  while (durable_offset_ < offset && error_.ok()) {
+    if (draining_) {
+      // Another barrier's drain is in flight; wait for it to land, then
+      // re-check — it may not have covered our offset. For a committing
+      // thread this wait is the "queued" segment of its critical path.
+      const bool spans = obs::SpansEnabled();
+      const uint64_t wait_start = spans ? obs::MonotonicMicros() : 0;
+      durable_cv_.wait(lock, [&] {
+        return !draining_ || durable_offset_ >= offset || !error_.ok();
+      });
+      if (spans) {
+        obs::RecordQueuedInterval(wait_start, obs::MonotonicMicros());
+      }
+      continue;
+    }
+    DrainLocked(lock);
+  }
+  return error_;
+}
+
+void ComplianceLog::DrainLocked(std::unique_lock<std::mutex>& lock) {
+  draining_ = true;
+  std::string log_bytes;
+  std::string index_bytes;
+  log_bytes.swap(pending_log_);
+  index_bytes.swap(pending_index_);
+  const uint64_t end = size_;
+  const uint64_t records = pending_records_;
+  const uint64_t batch = ++batch_seq_;
+  pending_records_ = 0;
+  Sm().queue_depth->Set(0);
+  lock.unlock();
+
+  // Span attribution: a drain on a committing thread lands in its
+  // commit.drain / commit.worm_flush segments; any other drain (a page
+  // write-out, a tick, the pending-bytes bound) is emitted as shipper.*
+  // spans keyed by the batch id.
+  const bool spans = obs::SpansEnabled();
+  const uint64_t t_drain = spans ? obs::MonotonicMicros() : 0;
+  Status s = worm_->AppendUnflushed(log_file_, log_bytes);
+  if (s.ok() && !index_bytes.empty()) {
+    // The index is never the flush target: its durability is lazy
+    // (RepairStampIndex reconciles it on reopen), so a commit pays exactly
+    // one fflush.
+    s = worm_->AppendUnflushed(index_file_, index_bytes);
+  }
+  const uint64_t t_flush = spans ? obs::MonotonicMicros() : 0;
+  if (s.ok()) s = worm_->FlushAppends(log_file_);
+  if (spans) {
+    obs::RecordDrainInterval(t_drain, t_flush,
+                             log_bytes.size() + index_bytes.size(), batch);
+    obs::RecordWormFlushInterval(t_flush, obs::MonotonicMicros(), batch);
+  }
+  if (s.ok()) {
+    Sm().flushes->Inc();
+    Sm().shipped_bytes->Inc(log_bytes.size() + index_bytes.size());
+    Sm().records_per_flush->Record(records);
+  }
+
+  lock.lock();
+  draining_ = false;
+  if (s.ok()) {
+    durable_offset_ = end;
+  } else {
+    error_ = s;
+  }
+  durable_cv_.notify_all();
+}
+
+uint64_t ComplianceLog::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return size_;
+}
+
+uint64_t ComplianceLog::durable_offset() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return durable_offset_;
+}
+
+uint64_t ComplianceLog::pending_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_log_.size() + pending_index_.size();
+}
+
+uint64_t ComplianceLog::record_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return record_count_;
 }
 
 Status ComplianceLog::Scan(
-    const std::function<Status(const CRecord&, uint64_t)>& fn) const {
-  CDB_RETURN_IF_ERROR(SyncForRead());
+    const std::function<Status(const CRecord&, uint64_t)>& fn) {
+  CDB_RETURN_IF_ERROR(Flush());
   std::string blob;
-  CDB_RETURN_IF_ERROR(worm_->ReadAll(LogFileName(epoch_), &blob));
+  CDB_RETURN_IF_ERROR(worm_->ReadAll(log_file_, &blob));
   return ScanCRecords(blob, fn);
 }
 
 Status ComplianceLog::ScanStampIndex(
-    const std::function<Status(TxnId, uint64_t, uint64_t)>& fn) const {
-  CDB_RETURN_IF_ERROR(SyncForRead());
+    const std::function<Status(TxnId, uint64_t, uint64_t)>& fn) {
+  CDB_RETURN_IF_ERROR(Flush());
   std::string blob;
-  CDB_RETURN_IF_ERROR(worm_->ReadAll(StampIndexFileName(epoch_), &blob));
+  CDB_RETURN_IF_ERROR(worm_->ReadAll(index_file_, &blob));
   if (blob.size() % 24 != 0) {
     return Status::Corruption("stamp index size not a multiple of 24");
   }

@@ -30,36 +30,33 @@ ComplianceMetrics& Cm() {
 }
 }  // namespace
 
-ComplianceLogOptions ComplianceLogger::LogOptions() const {
-  ComplianceLogOptions o;
-  o.async = options_.async_shipping;
-  o.group_commit_window_micros = options_.group_commit_window_micros;
-  o.repair_stamp_index = options_.repair_stamp_index;
-  return o;
-}
-
-Status ComplianceLogger::MaybeSyncFlush() {
-  if (log_ == nullptr) return Status::OK();
-  if (options_.async_shipping) return Status::OK();
-  return log_->Flush();
-}
-
 Status ComplianceLogger::FlushLog() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled || log_ == nullptr) return Status::OK();
   return log_->Flush();
 }
 
+// Reads log_ without mu_, like WaitCommitDurable: it is replaced only at
+// Open and by an audit, which runs with no read in flight.
+Status ComplianceLogger::FlushReads() {
+  if (!options_.enabled || !options_.hash_on_read || log_ == nullptr) {
+    return Status::OK();
+  }
+  return log_->FlushThrough(read_high_water_.load(std::memory_order_acquire));
+}
+
 Status ComplianceLogger::StartFreshEpoch(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled) return Status::OK();
-  log_ = std::make_unique<ComplianceLog>(worm_, epoch, LogOptions());
+  log_ = std::make_unique<ComplianceLog>(
+      worm_, epoch, ComplianceLogOptions{options_.repair_stamp_index});
   CDB_RETURN_IF_ERROR(log_->Create());
   baseline_.clear();
   index_baseline_.clear();
   unsynced_.clear();
   evict_queue_.clear();
   page_high_water_.clear();
+  read_high_water_.store(0, std::memory_order_release);
   stamps_on_log_.clear();
   aborts_on_log_.clear();
   uint64_t now = clock_->NowMicros();
@@ -73,7 +70,8 @@ Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
                                        const Snapshot* snapshot) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled) return Status::OK();
-  log_ = std::make_unique<ComplianceLog>(worm_, epoch, LogOptions());
+  log_ = std::make_unique<ComplianceLog>(
+      worm_, epoch, ComplianceLogOptions{options_.repair_stamp_index});
   CDB_RETURN_IF_ERROR(log_->OpenExisting());
 
   // Rebuild the diff baseline as replay(snapshot, L): this is the page
@@ -103,6 +101,7 @@ Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
   unsynced_.clear();
   evict_queue_.clear();
   page_high_water_.clear();
+  read_high_water_.store(0, std::memory_order_release);
   for (const auto& [key, state] : replayer.pages()) {
     baseline_[key.second] = state;
     NoteCached(key.second, /*is_index=*/false, /*disk_synced=*/false);
@@ -239,24 +238,19 @@ void ComplianceLogger::NoteCached(PageId pgno, bool is_index,
   }
 }
 
-// Records are appended unflushed. In sync mode every public hook flushes
-// before it returns, so the "on WORM before the operation proceeds"
-// contract holds at one syscall per hook instead of one per record. In
-// async mode the flush moves to the two barriers (OnPageWriteBarrier and
-// the commit/tick/shred full flush); the per-page high-water mark
-// recorded here is what the pwrite barrier waits on.
+// Records are appended unflushed; durability waits for the barriers
+// (OnPageWriteBarrier and the commit/tick/shred full flush). The per-page
+// high-water mark recorded here is what the pwrite barrier waits on.
 Status ComplianceLogger::Append(const CRecord& rec) {
   Cm().records->Inc();
   obs::TraceRing::Global().Emit(obs::TraceEventType::kComplianceAppend,
                                 static_cast<uint64_t>(rec.type),
                                 log_->size());
   CDB_RETURN_IF_ERROR(log_->AppendUnflushed(rec));
-  if (options_.async_shipping) {
-    uint64_t end = log_->size();
-    if (rec.pgno != kInvalidPage) page_high_water_[rec.pgno] = end;
-    if (rec.new_pgno != kInvalidPage) page_high_water_[rec.new_pgno] = end;
-    if (rec.third_pgno != kInvalidPage) page_high_water_[rec.third_pgno] = end;
-  }
+  uint64_t end = log_->size();
+  if (rec.pgno != kInvalidPage) page_high_water_[rec.pgno] = end;
+  if (rec.new_pgno != kInvalidPage) page_high_water_[rec.new_pgno] = end;
+  if (rec.third_pgno != kInvalidPage) page_high_water_[rec.third_pgno] = end;
   return Status::OK();
 }
 
@@ -342,13 +336,14 @@ Status ComplianceLogger::OnPageRead(PageId pgno, const Page& image) {
       rec.hash.assign(reinterpret_cast<const char*>(hs.data()), hs.size());
       rec.timestamp = clock_->NowMicros();
       CDB_RETURN_IF_ERROR(Append(rec));
+      read_high_water_.store(log_->size(), std::memory_order_release);
       ++stats_.read_hashes;
     }
     if (options_.cache_page_images && index_baseline_.count(pgno) == 0) {
       index_baseline_[pgno] = std::move(state);
       NoteCached(pgno, /*is_index=*/true, /*disk_synced=*/true);
     }
-    return MaybeSyncFlush();
+    return Status::OK();
   }
   if (image.type() != PageType::kBtreeLeaf) {
     return Status::OK();
@@ -366,6 +361,7 @@ Status ComplianceLogger::OnPageRead(PageId pgno, const Page& image) {
     rec.hash.assign(reinterpret_cast<const char*>(hs.data()), hs.size());
     rec.timestamp = clock_->NowMicros();
     CDB_RETURN_IF_ERROR(Append(rec));
+    read_high_water_.store(log_->size(), std::memory_order_release);
     ++stats_.read_hashes;
   }
   // Seed the baseline only if this page is unknown: after a crash the
@@ -376,19 +372,18 @@ Status ComplianceLogger::OnPageRead(PageId pgno, const Page& image) {
     baseline_[pgno] = std::move(state);
     NoteCached(pgno, /*is_index=*/false, /*disk_synced=*/true);
   }
-  // Async: read-hash records ride the ring; they are durable by the next
-  // commit/tick barrier, within the regret-window guarantee the auditor
-  // checks.
-  return MaybeSyncFlush();
+  // Read-hash records ride the tail. The page is served before they are
+  // durable, but its reader's answer is not: a transaction's commit or
+  // abort barrier covers them, and any other read ends with FlushReads.
+  return Status::OK();
 }
 
 Status ComplianceLogger::OnPageWrite(PageId pgno, const Page& image) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled) return Status::OK();
   if (!image.IsFormatted()) return Status::OK();
-  // The pwrite may not proceed until every record of its diff is durable
-  // on WORM — this histogram is the time transactions spend stalled on
-  // that rule.
+  // Time spent encoding the pwrite's diff into the tail; the durability
+  // stall itself is OnPageWriteBarrier's (compliance.barrier_stall_us).
   obs::ScopedLatencyTimer stall(Cm().write_stall_us);
   if (image.type() == PageType::kBtreeInternal) {
     Result<IndexState> old_state = IndexBaselineFor(pgno);
@@ -400,7 +395,7 @@ Status ComplianceLogger::OnPageWrite(PageId pgno, const Page& image) {
       index_baseline_[pgno] = std::move(new_state);
       NoteCached(pgno, /*is_index=*/true, /*disk_synced=*/true);
     }
-    return MaybeSyncFlush();
+    return Status::OK();
   }
   if (image.type() != PageType::kBtreeLeaf) {
     return Status::OK();
@@ -414,18 +409,16 @@ Status ComplianceLogger::OnPageWrite(PageId pgno, const Page& image) {
     baseline_[pgno] = std::move(new_state);
     NoteCached(pgno, /*is_index=*/false, /*disk_synced=*/true);
   }
-  // Async: the durability stall happens in OnPageWriteBarrier, after
-  // every hook has appended its records for the whole write-out batch.
-  return MaybeSyncFlush();
+  // The durability stall happens in OnPageWriteBarrier, after every hook
+  // has appended its records for the whole write-out batch.
+  return Status::OK();
 }
 
-// Barrier (1) of the pipeline: the pwrite of `pgno` may not reach disk
-// until every compliance record describing the page is durable on WORM.
-// In sync mode OnPageWrite already flushed, so this is a no-op.
+// Barrier (1): the pwrite of `pgno` may not reach disk until every
+// compliance record describing the page is durable on WORM.
 Status ComplianceLogger::OnPageWriteBarrier(PageId pgno) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled || log_ == nullptr) return Status::OK();
-  if (!options_.async_shipping) return Status::OK();
   auto it = page_high_water_.find(pgno);
   if (it == page_high_water_.end()) return Status::OK();
   uint64_t target = it->second;
@@ -468,9 +461,9 @@ Status ComplianceLogger::OnPageSplit(uint32_t tree_id, uint8_t level,
     baseline_.erase(old_pgno);
     baseline_.erase(new_pgno);
   }
-  // Async: the split record's high-water mark covers both pages, so
-  // neither post-split image can reach disk before the record is durable.
-  return MaybeSyncFlush();
+  // The split record's high-water mark covers both pages, so neither
+  // post-split image can reach disk before the record is durable.
+  return Status::OK();
 }
 
 Status ComplianceLogger::OnRootGrow(uint32_t tree_id, PageId root_pgno,
@@ -509,7 +502,7 @@ Status ComplianceLogger::OnRootGrow(uint32_t tree_id, PageId root_pgno,
     baseline_[right_pgno] = StateFromImage(post_right);
     NoteCached(right_pgno, /*is_index=*/false, /*disk_synced=*/false);
   }
-  return MaybeSyncFlush();
+  return Status::OK();
 }
 
 Status ComplianceLogger::OnMigrate(uint32_t tree_id, PageId live_pgno,
@@ -539,8 +532,8 @@ Status ComplianceLogger::OnMigrate(uint32_t tree_id, PageId live_pgno,
   } else {
     baseline_.erase(live_pgno);
   }
-  // Full flush even in async mode: the MIGRATE record references a
-  // historical file that already exists on WORM, and an orphaned file
+  // Full flush: the MIGRATE record references a historical file that
+  // already exists on WORM, and an orphaned file
   // without its record would look like tampering. Migrations are rare
   // (one per time split), so this costs nothing on the hot path.
   return log_->Flush();
@@ -562,9 +555,8 @@ Status ComplianceLogger::OnCommit(TxnId txn_id, uint64_t commit_time) {
   CDB_RETURN_IF_ERROR(Append(rec));
   last_stamp_activity_ = clock_->NowMicros();
   // Barrier (2): the commit may not return until its STAMP_TRANS — and,
-  // FIFO, everything before it — is durable on WORM. In async mode this
-  // is the group-commit rendezvous: concurrent appends accumulated since
-  // the last drain share the shipper's single fflush.
+  // FIFO, everything before it — is durable on WORM. Everything appended
+  // since the last drain shares this one fflush.
   return log_->Flush();
 }
 

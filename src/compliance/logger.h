@@ -1,6 +1,7 @@
 #ifndef COMPLYDB_COMPLIANCE_LOGGER_H_
 #define COMPLYDB_COMPLIANCE_LOGGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -45,19 +46,6 @@ struct ComplianceOptions {
   /// resurrect stale state.
   size_t max_cached_pages = 0;
 
-  /// Asynchronous log shipping: records are appended to an in-memory
-  /// ring drained by a dedicated shipper thread, and durability is
-  /// enforced at two WAL-style barriers (the pwrite barrier and the
-  /// commit/tick/shred full flush) instead of at every hook. The bytes
-  /// on WORM are identical to sync mode; only their flush timing moves.
-  /// Overridable at open via the COMPLYDB_COMPLIANCE_ASYNC env variable.
-  bool async_shipping = false;
-
-  /// Group-commit window for the shipper (microseconds of real time the
-  /// shipper waits for more records before paying an fflush nobody is
-  /// stalled on). Only meaningful with async_shipping.
-  uint64_t group_commit_window_micros = 200;
-
   /// Rebuild a missing stamp-index tail from L on reattach (see
   /// ComplianceLogOptions::repair_stamp_index). Disabled for read-only
   /// opens, which must not write to WORM.
@@ -66,14 +54,19 @@ struct ComplianceOptions {
 
 /// The compliance logging plugin. Implements the paper's pread/pwrite tap
 /// (IoHook), split/migration notifications (StructureObserver), and
-/// commit/abort/recovery notifications (CommitObserver). Every record it
-/// appends is durable on WORM before the triggering operation proceeds,
-/// which is what makes the log authoritative at audit.
+/// commit/abort/recovery notifications (CommitObserver). Records are
+/// buffered in ComplianceLog's tail and made durable at the barriers
+/// (DESIGN.md, "Durability barriers of the compliance log"): before a
+/// page they describe reaches disk, before a commit, abort, tick, shred,
+/// migration, new tree, or recovery proceeds, and before a read outside
+/// any transaction answers its caller (FlushReads) — which is what makes
+/// the log authoritative at audit.
 ///
 /// Thread-safe: one internal mutex serializes every public entry point,
 /// so the record order on L stays a single total order even when hooks
 /// fire from reader threads (cache-miss READ_HASH, dirty-page eviction).
-/// Lock order: buffer-cache shard mutex -> WAL mutex -> this mutex.
+/// Lock order: buffer-cache shard mutex -> WAL mutex -> this mutex ->
+/// ComplianceLog's mutex (never held across WORM I/O).
 class ComplianceLogger : public IoHook,
                          public StructureObserver,
                          public CommitObserver {
@@ -99,6 +92,13 @@ class ComplianceLogger : public IoHook,
   /// Full durability barrier: everything appended so far reaches WORM.
   /// No-op when disabled or before an epoch is attached.
   Status FlushLog();
+
+  /// Read barrier: every READ_HASH/READ_HASH_INDEX record appended so far
+  /// reaches WORM. A read that no commit or abort barrier follows calls
+  /// this before it answers, so a tampered page it served stays on record
+  /// even if the process dies next. Takes no logger mutex (a commit holds
+  /// it across its drain); no-op without hash_on_read.
+  Status FlushReads();
 
   /// Current size of L in bytes, taken under the logger mutex — always a
   /// record boundary, so it is a valid epoch-seal target.
@@ -135,9 +135,8 @@ class ComplianceLogger : public IoHook,
   Result<uint64_t> OnCommitQueued(TxnId txn_id, uint64_t commit_time) override;
 
   /// Epoch durability barrier: blocks until L is durable through
-  /// `offset`. Deliberately takes no logger mutex — in async-shipping
-  /// mode (the only mode the pipeline runs in) this lands on the
-  /// shipper's internally synchronized, coalescing FlushThrough, so
+  /// `offset`. Deliberately takes no logger mutex — ComplianceLog's
+  /// FlushThrough is internally synchronized and coalescing, so
   /// commit-path hooks from subsequent slots keep appending meanwhile.
   Status WaitCommitDurable(uint64_t offset);
   Status OnStartRecovery() override;
@@ -187,11 +186,6 @@ class ComplianceLogger : public IoHook,
                        const IndexState& old_state,
                        const IndexState& new_state);
 
-  ComplianceLogOptions LogOptions() const;
-  /// Sync mode: flush inline (the classic per-hook durability point).
-  /// Async mode: no-op — durability is deferred to the barriers.
-  Status MaybeSyncFlush();
-
   /// Serializes all public entry points (none call each other; the
   /// private helpers run with it held).
   mutable std::mutex mu_;
@@ -207,11 +201,14 @@ class ComplianceLogger : public IoHook,
 
   std::map<PageId, PageState> baseline_;
   std::map<PageId, IndexState> index_baseline_;
-  // Async shipping: per-page high-water mark — the logical L offset after
-  // the last record mentioning the page. OnPageWriteBarrier stalls the
-  // pwrite until the log is durable through this offset (WAL-style
-  // "log before data" applied to the compliance log).
+  // Per-page high-water mark — the logical L offset after the last record
+  // mentioning the page. OnPageWriteBarrier stalls the pwrite until the
+  // log is durable through this offset (WAL-style "log before data"
+  // applied to the compliance log).
   std::map<PageId, uint64_t> page_high_water_;
+  // L offset after the last read-hash record — FlushReads' target. Written
+  // under mu_, read without it.
+  std::atomic<uint64_t> read_high_water_{0};
   // Baselines known to be ahead of the on-disk image (unpinnable).
   std::set<PageId> unsynced_;
   // FIFO of eviction candidates; entries may be stale (lazily skipped).

@@ -63,7 +63,7 @@ Status ApplySummaryRecord(const CRecord& rec, LogSummary* out) {
 
 }  // namespace
 
-Status SummarizeLog(const ComplianceLog& log, LogSummary* out) {
+Status SummarizeLog(ComplianceLog& log, LogSummary* out) {
   return log.Scan([&](const CRecord& rec, uint64_t) -> Status {
     return ApplySummaryRecord(rec, out);
   });

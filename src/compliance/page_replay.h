@@ -49,7 +49,7 @@ struct LogSummary {
   uint64_t last_commit_time = 0;
 };
 
-Status SummarizeLog(const ComplianceLog& log, LogSummary* out);
+Status SummarizeLog(ComplianceLog& log, LogSummary* out);
 /// Variant over an already-read log blob (avoids re-reading L).
 Status SummarizeLogBlob(Slice blob, LogSummary* out);
 

@@ -45,7 +45,48 @@ DbMetrics& Dm() {
   static DbMetrics m;
   return m;
 }
+
+// The database whose outermost read operation is running on this thread
+// (null: none).
+thread_local const CompliantDB* t_read_op_db = nullptr;
 }  // namespace
+
+// A read answers its caller once the public call returns, so that is
+// where its READ_HASH records must be durable. Calls nest — GetAsOf runs
+// GetHistory, a write-slot body runs many Gets — and only the outermost
+// one pays the barrier.
+class CompliantDB::ReadOp {
+ public:
+  explicit ReadOp(CompliantDB* db)
+      : db_(db), outer_(t_read_op_db), outermost_(outer_ != db) {
+    t_read_op_db = db;
+  }
+  ~ReadOp() { t_read_op_db = outer_; }
+  ReadOp(const ReadOp&) = delete;
+  ReadOp& operator=(const ReadOp&) = delete;
+
+  Status Finish(Status read) {
+    if (!outermost_ || db_->InTransactionOnThisThread()) return read;
+    return db_->ReadBarrier(std::move(read));
+  }
+
+ private:
+  CompliantDB* const db_;
+  const CompliantDB* const outer_;
+  const bool outermost_;
+};
+
+bool CompliantDB::InTransactionOnThisThread() const {
+  // Under the pipeline, engine state belongs to the slot holder; any other
+  // thread has no transaction open and must not look.
+  if (pipeline_ != nullptr && !pipeline_->InSlot()) return false;
+  return txns_->HasActiveTxn();
+}
+
+Status CompliantDB::ReadBarrier(Status read) {
+  Status durable = logger_->FlushReads();
+  return durable.ok() ? read : durable;
+}
 
 Result<CompliantDB*> CompliantDB::Open(const DbOptions& options) {
   auto db = std::unique_ptr<CompliantDB>(new CompliantDB(options));
@@ -146,23 +187,11 @@ Status CompliantDB::Init() {
     CDB_RETURN_IF_ERROR(cache_->FlushAll());
   }
 
-  // Async shipping can be forced on or off from the environment (CI runs
-  // the whole suite both ways without rebuilding).
-  if (const char* env = std::getenv("COMPLYDB_COMPLIANCE_ASYNC")) {
-    options_.compliance.async_shipping = env[0] != '0' && env[0] != '\0';
-  }
-  if (options_.read_only) {
-    // A read-only facade must not spawn a writer thread nor repair the
-    // stamp index (both write to WORM).
-    options_.compliance.async_shipping = false;
-    options_.compliance.repair_stamp_index = false;
-  }
+  // A read-only facade must not repair the stamp index (a WORM write).
+  if (options_.read_only) options_.compliance.repair_stamp_index = false;
 
   // Multi-writer commit pipeline (DESIGN.md, "The epoch/sequencer commit
-  // pipeline"). Resolved before the logger exists because the pipeline's
-  // epoch barrier requires the async shipper: the sync-mode FlushThrough
-  // mutates logger state without the logger mutex, and per-hook sync
-  // flushes would re-serialize the slots anyway.
+  // pipeline").
   write_threads_ = options_.write_threads == 0 ? 1 : options_.write_threads;
   if (const char* env = std::getenv("COMPLYDB_WRITE_THREADS")) {
     char* end = nullptr;
@@ -172,9 +201,6 @@ Status CompliantDB::Init() {
     }
   }
   if (options_.read_only) write_threads_ = 1;
-  if (write_threads_ > 1 && options_.compliance.enabled) {
-    options_.compliance.async_shipping = true;
-  }
 
   // Compliance epoch discovery from WORM (the trustworthy namespace).
   logger_ = std::make_unique<ComplianceLogger>(options_.compliance,
@@ -221,7 +247,7 @@ Status CompliantDB::Init() {
     if (options_.compliance.enabled) {
       // One durability barrier per epoch: flush the deferred WAL tail
       // mirror (one WORM round trip for the whole epoch's commits), then
-      // wait the epoch's compliance records durable through the shipper.
+      // wait the epoch's compliance records durable.
       // The local WAL fflush already happened per-commit at sequencing.
       ComplianceLogger* logger = logger_.get();
       LogManager* wal = wal_.get();
@@ -414,7 +440,7 @@ Status CompliantDB::Init() {
     }
     CDB_RETURN_IF_ERROR(RotateTxTail());
     // Open is a full-flush point: attach-time page reads may have queued
-    // READ_HASH records with the async shipper, and external auditors read
+    // READ_HASH records in the log's tail, and external auditors read
     // L straight off the WORM store the moment Open returns.
     CDB_RETURN_IF_ERROR(logger_->FlushLog());
   }
@@ -636,6 +662,15 @@ Status CompliantDB::RunWriteSlot(uint64_t ticket,
 Status CompliantDB::RunWriteSlot(uint64_t ticket,
                                  const std::function<Status()>& body,
                                  const std::function<void()>& epilogue) {
+  // The slot is one read operation: reads in its body, in or out of a
+  // transaction, are durable before it returns.
+  ReadOp op(this);
+  return op.Finish(RunWriteSlotBody(ticket, body, epilogue));
+}
+
+Status CompliantDB::RunWriteSlotBody(uint64_t ticket,
+                                     const std::function<Status()>& body,
+                                     const std::function<void()>& epilogue) {
   if (pipeline_ == nullptr) {
     (void)ticket;  // serial engine: the body already runs in slot order
     Status s = body();
@@ -790,7 +825,8 @@ Status CompliantDB::Delete(Transaction* txn, uint32_t table, Slice key) {
 }
 
 Status CompliantDB::Get(uint32_t table, Slice key, std::string* value) {
-  return txns_->Get(nullptr, table, key, value);
+  ReadOp op(this);
+  return op.Finish(txns_->Get(nullptr, table, key, value));
 }
 
 Status CompliantDB::Commit(Transaction* txn) {
@@ -801,10 +837,10 @@ Status CompliantDB::Commit(Transaction* txn) {
   }
   // End-to-end commit latency as the client sees it: WAL flush, the
   // compliance barrier, background stamping, and any regret tick that
-  // fires on this call — the tail the async shipper exists to shorten.
+  // fires on this call.
   obs::ScopedLatencyTimer timer(Dm().commit_us);
-  // Covers the same window as the timer and decomposes it: the shipper
-  // and WORM layers attribute their intervals to this thread's slot, and
+  // Covers the same window as the timer and decomposes it: the
+  // compliance-log drain and WORM layers attribute their intervals to this thread's slot, and
   // the close emits the commit span plus its foreground/queued/drain/
   // worm_flush segments (docs/OBSERVABILITY.md, "Spans").
   obs::ScopedCommitSpan span(txn != nullptr ? txn->id() : 0);
@@ -852,6 +888,7 @@ Status CompliantDB::Abort(Transaction* txn) {
 
 Status CompliantDB::GetAsOf(uint32_t table, Slice key, uint64_t time,
                             std::string* value) {
+  // GetHistory does every page read, and its read barrier.
   std::vector<TupleData> versions;
   CDB_RETURN_IF_ERROR(GetHistory(table, key, &versions));
   const TupleData* best = nullptr;
@@ -884,7 +921,8 @@ Status CompliantDB::GetHistory(uint32_t table, Slice key,
   out->clear();
   std::vector<TupleData> migrated = hist_->GetVersions(table, key);
   std::vector<TupleData> live;
-  CDB_RETURN_IF_ERROR(t->GetVersions(key, &live));
+  ReadOp op(this);
+  CDB_RETURN_IF_ERROR(op.Finish(t->GetVersions(key, &live)));
   out->reserve(migrated.size() + live.size());
   for (auto& v : migrated) out->push_back(std::move(v));
   for (auto& v : live) out->push_back(std::move(v));
@@ -910,11 +948,15 @@ Status CompliantDB::ScanCurrent(
   if (t == nullptr) return Status::InvalidArgument("unknown table");
   SlotWriteBuffer* buf =
       pipeline_ != nullptr ? pipeline_->ExecBuffer() : nullptr;
-  if (buf == nullptr) return t->ScanRangeCurrent(begin, end, fn);
+  if (buf == nullptr) {
+    ReadOp op(this);
+    return op.Finish(t->ScanRangeCurrent(begin, end, fn));
+  }
   // Scheduler execute phase: merge the slot's staged writes into the
   // committed scan in key order, so a body sees its own (buffered)
   // effects exactly as it would inside a real slot. A Busy callback
-  // stops the merged scan the same way it stops the raw one.
+  // stops the merged scan the same way it stops the raw one. (The read
+  // barrier is RunWriteSlot's: an execute phase only runs inside it.)
   std::map<std::string, std::optional<std::string>> overlay;
   buf->CollectRange(table, begin, end, &overlay);
   if (overlay.empty()) return t->ScanRangeCurrent(begin, end, fn);
@@ -1035,7 +1077,10 @@ Status CompliantDB::ReleaseHold(uint32_t table, Slice key_prefix) {
 
 Result<bool> CompliantDB::IsHeld(uint32_t table, Slice key) {
   if (holds_->tree() == nullptr) return false;
-  return holds_->IsHeldNow(table, key);
+  ReadOp op(this);
+  Result<bool> held = holds_->IsHeldNow(table, key);
+  CDB_RETURN_IF_ERROR(op.Finish(held.status()));
+  return held;
 }
 
 // --- time & maintenance ----------------------------------------------
@@ -1089,8 +1134,8 @@ Status CompliantDB::FlushAll() {
   CDB_RETURN_IF_ERROR(cache_->FlushAll());
   CDB_RETURN_IF_ERROR(wal_->FlushAll());
   CDB_RETURN_IF_ERROR(wal_->FlushTailMirror());
-  // Drain the compliance ring last: quiescing (Audit) must leave nothing
-  // in flight.
+  // Drain the compliance log's tail last: quiescing (Audit) must leave
+  // nothing pending.
   return logger_->FlushLog();
 }
 

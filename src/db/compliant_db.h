@@ -118,9 +118,9 @@ struct DbOptions {
   /// engine, no pipeline. > 1 creates the ticket turnstile: workers
   /// reserve slots via ReserveWriteSlot/RunWriteSlot (or get an implicit
   /// slot per bare Begin), commits are sequenced in ticket order, and
-  /// durability is one epoch barrier per slot — the compliance log stays
-  /// byte-identical at any thread count. Forces compliance.async_shipping
-  /// when compliance is enabled. The COMPLYDB_WRITE_THREADS environment
+  /// durability is one epoch barrier per slot. The compliance log takes
+  /// the same barrier-drained path at every value and stays byte-identical
+  /// at any thread count. The COMPLYDB_WRITE_THREADS environment
   /// variable, when set to a positive integer, overrides this.
   uint32_t write_threads = 1;
 
@@ -200,7 +200,8 @@ class CompliantDB {
   /// Runs `body` inside commit slot `ticket`: blocks until the turnstile
   /// admits the ticket, runs the body (any number of Begin/Commit cycles
   /// plus reads), then releases the turnstile and waits for the epoch
-  /// durability barrier covering the slot's commits. Returns the body's
+  /// durability barrier covering the slot's commits, and for the
+  /// hash-on-read records of every read the body made. Returns the body's
   /// status, or the barrier's if the body succeeded.
   ///
   /// For a scheduler-admitted concurrent slot the body instead runs
@@ -217,6 +218,10 @@ class CompliantDB {
                       const std::function<void()>& epilogue);
 
   // --- transactions ---
+  // Under hash_on_read, a read made outside any transaction or write slot
+  // (Get, GetAsOf, GetHistory, ScanCurrent, ScanIndex, IsHeld, and every
+  // SnapshotReader call) returns only once its READ_HASH records are
+  // durable on WORM; inside one, the commit or abort barrier covers them.
   Result<Transaction*> Begin();
   Status Put(Transaction* txn, uint32_t table, Slice key, Slice value);
   Status Delete(Transaction* txn, uint32_t table, Slice key);
@@ -377,11 +382,9 @@ class CompliantDB {
   CommitPipeline* write_pipeline() { return pipeline_.get(); }
   /// Writer-thread count after the COMPLYDB_WRITE_THREADS override.
   uint32_t write_threads() const { return write_threads_; }
-  /// "async", "sync", or "off" — how compliance records reach WORM.
-  const char* shipper_mode() const {
-    if (!options_.compliance.enabled) return "off";
-    return options_.compliance.async_shipping ? "async" : "sync";
-  }
+  /// How compliance records reach WORM: always "barrier" — buffered in
+  /// the log's tail and drained at the durability barriers.
+  const char* shipper_mode() const { return "barrier"; }
   /// "disjoint" (scheduler active), "turnstile" (pipeline without the
   /// scheduler), or "serial" (no pipeline).
   const char* scheduler_mode() const {
@@ -405,6 +408,9 @@ class CompliantDB {
   /// Replays a concurrent slot's staged ops through the engine (caller
   /// holds the open slot; runs serially in ticket order).
   Status ApplySlotBuffer(SlotWriteBuffer* buf);
+  /// RunWriteSlot without its closing read barrier.
+  Status RunWriteSlotBody(uint64_t ticket, const std::function<Status()>& body,
+                          const std::function<void()>& epilogue);
   Status RotateTxTail();
   RetentionResolver MakeRetentionResolver();
   /// Lazily attaches the certification cursor to the current epoch
@@ -412,6 +418,19 @@ class CompliantDB {
   /// bumps the epoch.
   Status EnsureCursorLocked();
   Result<AuditReport> AuditInternal(const AuditOptions& overrides);
+
+  // --- read barrier (DESIGN.md, "Durability barriers of the compliance
+  // log") ---
+  friend class SnapshotReader;
+  /// One public read, or one write slot, on the calling thread; defined
+  /// in the .cc. Only the outermost one ends with the read barrier.
+  class ReadOp;
+  /// True if a transaction is open on the calling thread, so its commit
+  /// or abort barrier will cover the reads it makes.
+  bool InTransactionOnThisThread() const;
+  /// Makes every READ_HASH record appended so far durable before a read
+  /// answers; returns `read` unless that barrier fails.
+  Status ReadBarrier(Status read);
 
   DbOptions options_;
   std::unique_ptr<Clock> owned_clock_;

@@ -64,6 +64,9 @@ Status SnapshotReader::Get(uint32_t table, Slice key,
   return GetAsOf(table, key, snap_, value);
 }
 
+// A snapshot read is never part of the writer's transaction, so each call
+// passes the read barrier itself right after its page reads: their
+// hash-on-read records are durable before the answer is.
 Status SnapshotReader::GetAsOf(uint32_t table, Slice key, uint64_t time,
                                std::string* value) const {
   obs::ScopedLatencyTimer timer(Sm().get_us);
@@ -76,7 +79,7 @@ Status SnapshotReader::GetAsOf(uint32_t table, Slice key, uint64_t time,
   // from both, and a double sighting picks the same version either way
   // (versions are unique by start).
   std::vector<TupleData> versions;
-  CDB_RETURN_IF_ERROR(tree->GetVersions(key, &versions));
+  CDB_RETURN_IF_ERROR(db_->ReadBarrier(tree->GetVersions(key, &versions)));
   if (hist_ != nullptr) {
     for (auto& h : hist_->GetVersions(table, key)) {
       versions.push_back(std::move(h));
@@ -109,7 +112,7 @@ Status SnapshotReader::GetWithProof(uint32_t table, Slice key,
   // Same version pick as GetAsOf, but the winning commit time is kept:
   // the proof binds (key, value, commit time) as one unit.
   std::vector<TupleData> versions;
-  CDB_RETURN_IF_ERROR(tree->GetVersions(key, &versions));
+  CDB_RETURN_IF_ERROR(db_->ReadBarrier(tree->GetVersions(key, &versions)));
   if (hist_ != nullptr) {
     for (auto& h : hist_->GetVersions(table, key)) {
       versions.push_back(std::move(h));
@@ -182,7 +185,7 @@ Status SnapshotReader::ScanCurrent(
     return s;
   };
 
-  CDB_RETURN_IF_ERROR(
+  CDB_RETURN_IF_ERROR(db_->ReadBarrier(
       tree->ScanVersionsInRange(begin, end, [&](const TupleData& t) -> Status {
         if (has_key && t.key != cur_key) {
           CDB_RETURN_IF_ERROR(flush());
@@ -192,7 +195,7 @@ Status SnapshotReader::ScanCurrent(
         has_key = true;
         group.push_back(t);
         return Status::OK();
-      }));
+      })));
   if (stop) return Status::OK();
   return flush();
 }

@@ -158,16 +158,19 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   for (const auto& [name, h] : impl_->histograms) {
     HistogramSnapshot hs;
     hs.name = name;
-    hs.count = h->Count();
+    // The count is the sum of the bucket reads, not a separate load:
+    // a Record racing the snapshot would otherwise leave the buckets
+    // summing past the count (a non-cumulative Prometheus histogram).
+    hs.buckets.resize(Histogram::kBuckets);
+    for (int i = 0; i < Histogram::kBuckets; ++i) {
+      hs.buckets[i] = h->BucketCount(i);
+      hs.count += hs.buckets[i];
+    }
     hs.sum_us = h->SumMicros();
     hs.max_us = h->MaxMicros();
     hs.p50 = h->Quantile(0.50);
     hs.p95 = h->Quantile(0.95);
     hs.p99 = h->Quantile(0.99);
-    hs.buckets.resize(Histogram::kBuckets);
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      hs.buckets[i] = h->BucketCount(i);
-    }
     snap.histograms.push_back(std::move(hs));
   }
   return snap;

@@ -4,14 +4,14 @@
 // Span tracing for the compliance pipeline, layered on the same lock-free
 // ring design as TraceRing. Where trace events are instants, spans are
 // closed intervals [start_us, end_us) carrying a *causal key* — the txn
-// id for commit-path work, the shipper batch id for background drains,
+// id for commit-path work, the drain batch id for other log drains,
 // the epoch for audit phases — so a slow commit can be decomposed after
 // the fact into where the time actually went:
 //
 //   commit (txn)            — the whole client-visible CompliantDB::Commit
 //     commit.foreground     — engine work on the calling thread (residual)
-//     commit.queued         — blocked on the shipper durability barrier
-//     commit.drain          — WORM appends of an inline-stolen drain
+//     commit.queued         — blocked on another thread's log drain
+//     commit.drain          — WORM appends of the commit's own drain
 //     commit.worm_flush     — the fflush / simulated filer round trip
 //
 // The four segment durations are also recorded into the
@@ -20,11 +20,12 @@
 // span's duration (foreground is the residual).
 //
 // Propagation is by thread-local CommitSegments: CompliantDB::Commit
-// activates the slot (ScopedCommitSpan); the WAL, shipper, and WORM
-// layers attribute their intervals to it when active. A drain performed
-// by the background shipper thread has no active slot and is emitted as
-// `shipper.drain` / `shipper.worm_flush` spans keyed by batch id instead
-// (the committing thread's wait shows up as commit.queued).
+// activates the slot (ScopedCommitSpan); the WAL, compliance-log drain,
+// and WORM layers attribute their intervals to it when active. A drain
+// outside any commit (a page write-out, a regret tick, an epoch leader)
+// has no active slot and is emitted as `shipper.drain` /
+// `shipper.worm_flush` spans keyed by batch id instead (a commit waiting
+// on it shows up as commit.queued).
 //
 // Span timestamps are MonotonicMicros (latencies are about the hardware,
 // not the simulated workload clock), so they share a timebase with the

@@ -161,9 +161,9 @@ Status BufferCache::WriteOut(Frame* frame) {
 }
 
 // Batch write-out in three phases: every page's records are appended
-// (OnPageWrite), then every page's durability barrier runs — with the
-// async shipper the first barrier drains the whole ring, so one WORM
-// fflush covers the entire storm — and only then do the pwrites happen.
+// (OnPageWrite), then every page's durability barrier runs — the first
+// barrier drains the compliance log's whole tail, so one WORM fflush
+// covers the entire storm — and only then do the pwrites happen.
 // An error in any phase aborts before a single page reaches disk, which
 // preserves the compliance rule (no pwrite without its records on WORM).
 Status BufferCache::WriteOutBatch(const std::vector<size_t>& batch) {

@@ -16,12 +16,12 @@ namespace complydb {
 ///    "data page writes wait until their corresponding NEW_TUPLE records
 ///    have reached the WORM server" is enforced.
 ///  - OnPageWriteBarrier: after OnPageWrite has run for every page of the
-///    batch, still before any disk write. With the asynchronous shipping
-///    pipeline, OnPageWrite only *appends* the diff records; this second
-///    phase is where the pwrite stalls until the records describing the
-///    page are durable on WORM. Batching the barriers lets one WORM
-///    fflush cover a whole dirty-page storm. Synchronous hooks need no
-///    barrier, hence the default no-op.
+///    batch, still before any disk write. OnPageWrite only *appends* the
+///    diff records to the compliance log's tail; this second phase is
+///    where the pwrite stalls until the records describing the page are
+///    durable on WORM. Batching the barriers lets one WORM fflush cover a
+///    whole dirty-page storm. Hooks that keep no tail (the WAL hook) need
+///    no barrier, hence the default no-op.
 ///
 /// Hooks run in registration order; the WAL hook (write-ahead rule) is
 /// registered before the compliance logger.

@@ -76,7 +76,7 @@ class CommitPipeline {
   /// Epoch durability barrier: make the compliance log durable through
   /// `offset`. Must be thread-safe and must not require the turnstile
   /// (CompliantDB wires ComplianceLogger::WaitCommitDurable, which rides
-  /// the async shipper's coalescing FlushThrough). May be empty when
+  /// ComplianceLog's coalescing FlushThrough). May be empty when
   /// compliance is disabled — epoch waits then no-op.
   using BarrierFn = std::function<Status(uint64_t offset)>;
 

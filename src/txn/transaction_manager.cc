@@ -238,14 +238,14 @@ Status TransactionManager::Commit(Transaction* txn) {
   // commit time can always resolve every start id it may encounter.
   last_commit_time_.store(commit_time, std::memory_order_release);
 
-  // Only now may the compliance logger learn of the commit (§IV-B). With
-  // async shipping this call is the group-commit ticket: it returns when
-  // the shipper has made this commit's STAMP_TRANS (and everything queued
-  // before it) durable, typically one amortized fflush for many records.
+  // Only now may the compliance logger learn of the commit (§IV-B). This
+  // call is the group-commit ticket: it returns when this commit's
+  // STAMP_TRANS (and everything buffered before it) is durable, one
+  // amortized fflush for many records.
   if (observer_ != nullptr) {
     obs::ScopedLatencyTimer ticket(Tm().commit_observer_us);
-    // The whole group-commit ticket as one span; the shipper splits it
-    // into queued / drain / worm_flush segments underneath.
+    // The whole group-commit ticket as one span; the log's drain splits
+    // it into queued / drain / worm_flush segments underneath.
     obs::ScopedSpan ticket_span(obs::SpanKind::kCommitTicket, txn->id_,
                                 commit_time);
     if (pipeline_ != nullptr && pipeline_->InSlot()) {

@@ -45,10 +45,11 @@ struct WormFileInfo {
 /// Files live under a directory; metadata (create time, retention) lives
 /// in a sidecar `_worm_meta` file that is part of the trusted emulation.
 ///
-/// Thread-safe: the compliance log shipper appends from its own thread
-/// while the main thread creates witness files, mirrors the WAL tail, and
-/// reads for audits. One mutex serializes the whole store — the real
-/// contention is the media, not the map.
+/// Thread-safe: compliance-log drains run on whichever thread hits a
+/// durability barrier (an epoch leader, a page write-out) while others
+/// create witness files, mirror the WAL tail, and read for audits. One
+/// mutex serializes the whole store — the real contention is the media,
+/// not the map.
 class WormStore {
  public:
   /// Opens (creating if needed) a WORM store rooted at `dir`. `clock` must
@@ -70,8 +71,8 @@ class WormStore {
   Status Append(const std::string& name, Slice data);
 
   /// Append without the flush, for callers that batch several records and
-  /// then call FlushAppends once (the compliance logger batches all
-  /// records of one pwrite diff; the async shipper batches whole drains).
+  /// then call FlushAppends once (the compliance log ships everything
+  /// buffered since its previous drain this way).
   Status AppendUnflushed(const std::string& name, Slice data);
   Status FlushAppends(const std::string& name);
 
@@ -115,8 +116,8 @@ class WormStore {
   /// Simulated latency per durable flush. The paper's compliance store is
   /// a network-attached WORM filer (SnapLock/Centera class); every fflush
   /// models one round trip to it. 0 = local, free. Benchmarks use this to
-  /// expose how many round trips a configuration pays — the async shipper
-  /// exists to amortize them.
+  /// expose how many round trips a configuration pays — the compliance
+  /// log's barrier-only drains exist to amortize them.
   void set_flush_latency_micros(uint64_t micros) {
     flush_latency_micros_ = micros;
   }

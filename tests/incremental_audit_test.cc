@@ -67,14 +67,13 @@ uint64_t PayloadByteIn(const std::string& log, uint64_t from,
   return 0;
 }
 
-// CI jobs force write-thread / shipper env overrides; these tests pin
-// both per-options, so the fixture clears the env and restores it.
+// CI jobs force write-thread / audit-thread env overrides; these tests
+// pin both per-options, so the fixture clears the env and restores it.
 class IncrementalAuditTest : public ::testing::Test {
  protected:
   void SetUp() override {
     for (const char* name :
-         {"COMPLYDB_WRITE_THREADS", "COMPLYDB_COMPLIANCE_ASYNC",
-          "COMPLYDB_AUDIT_THREADS"}) {
+         {"COMPLYDB_WRITE_THREADS", "COMPLYDB_AUDIT_THREADS"}) {
       const char* env = std::getenv(name);
       saved_.emplace_back(name,
                           env != nullptr ? std::optional<std::string>(env)

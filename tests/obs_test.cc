@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -154,6 +155,42 @@ TEST(RegistryTest, GaugeRoundTrip) {
   g->Set(-5);
   g->Add(15);
   EXPECT_EQ(g->Value(), 10);
+}
+
+// A snapshot taken while other threads record must still describe one
+// histogram: its count is the sum of its buckets. Otherwise the Prometheus
+// export's +Inf bucket disagrees with _count and a strict scraper rejects
+// the page.
+TEST(RegistryTest, SnapshotCountMatchesBucketsUnderConcurrentRecords) {
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "metrics compiled out";
+  auto& reg = MetricsRegistry::Global();
+  Histogram* h = reg.GetHistogram("obs_test.racing_us");
+  h->Reset();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&stop, h, t] {
+      for (uint64_t v = t; !stop.load(std::memory_order_relaxed); ++v) {
+        h->Record(v % 4096);
+      }
+    });
+  }
+  while (h->Count() < 10000) std::this_thread::yield();  // writers running
+  int snapshots = 0;
+  int mismatches = 0;
+  for (int i = 0; i < 2000; ++i) {
+    for (const auto& hs : reg.TakeSnapshot().histograms) {
+      if (hs.name != "obs_test.racing_us") continue;
+      uint64_t total = 0;
+      for (uint64_t b : hs.buckets) total += b;
+      ++snapshots;
+      mismatches += total != hs.count ? 1 : 0;
+    }
+  }
+  stop.store(true);
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(snapshots, 2000);
+  EXPECT_EQ(mismatches, 0);
 }
 
 // --- Prometheus exposition ----------------------------------------------

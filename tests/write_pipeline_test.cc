@@ -1,15 +1,14 @@
 // Epoch-based multi-writer commit pipeline: determinism, quiescence
 // reporting, and crash recovery.
 //
-// The pipeline's contract is the same as PR 3's sync-vs-async identity,
-// one level up: for the same slot schedule, the compliance log L must be
-// byte-identical at any write_threads value, because the turnstile admits
-// slots in ticket order and every L append happens inside a slot. The
-// first test proves this at the file level (L and the stamp index) and
-// compares the audit verdicts too. The crash test reuses the PR 3
-// crash-window harness: kill the database mid-run (destructor without
-// Close) with records queued behind a huge group-commit window, reopen,
-// and require recovery plus a clean audit.
+// The pipeline's contract: for the same slot schedule, the compliance log
+// L must be byte-identical at any write_threads value, because the
+// turnstile admits slots in ticket order and every L append happens
+// inside a slot. The first test proves this at the file level (L and the
+// stamp index) and compares the audit verdicts too. The crash tests kill
+// the database mid-run (destructor without Close) with records pending in
+// the compliance log's tail, reopen, and require recovery plus a clean
+// audit.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +31,6 @@ namespace complydb {
 namespace {
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
-constexpr uint64_t kHugeWindow = 10ull * kMinute;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -41,29 +39,24 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// The CI TSan job forces COMPLYDB_WRITE_THREADS=4 (and other jobs may
-// force COMPLYDB_COMPLIANCE_ASYNC); these tests pin both per-options, so
-// the fixture clears the env and restores it afterwards.
+// The CI TSan job forces COMPLYDB_WRITE_THREADS=4; these tests pin the
+// thread count per-options, so the fixture clears the env and restores it
+// afterwards.
 class WritePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    for (const char* name :
-         {"COMPLYDB_WRITE_THREADS", "COMPLYDB_COMPLIANCE_ASYNC"}) {
-      const char* env = std::getenv(name);
-      saved_.emplace_back(name,
-                          env != nullptr ? std::optional<std::string>(env)
-                                         : std::nullopt);
-      ::unsetenv(name);
+    if (const char* env = std::getenv("COMPLYDB_WRITE_THREADS")) {
+      saved_ = env;
     }
+    ::unsetenv("COMPLYDB_WRITE_THREADS");
   }
   void TearDown() override {
-    for (const auto& [name, value] : saved_) {
-      if (value.has_value()) ::setenv(name.c_str(), value->c_str(), 1);
+    if (saved_.has_value()) {
+      ::setenv("COMPLYDB_WRITE_THREADS", saved_->c_str(), 1);
     }
   }
 
   DbOptions MakeOptions(const std::string& dir, uint32_t write_threads,
-                        uint64_t window_micros = 200,
                         size_t cache_pages = 128) {
     DbOptions opts;
     opts.dir = dir;
@@ -71,10 +64,6 @@ class WritePipelineTest : public ::testing::Test {
     opts.clock = clock_.get();
     opts.compliance.enabled = true;
     opts.compliance.regret_interval_micros = 5 * kMinute;
-    // Async in every arm: write_threads > 1 would force it anyway, and
-    // byte comparison needs the single-writer arm on the same path.
-    opts.compliance.async_shipping = true;
-    opts.compliance.group_commit_window_micros = window_micros;
     opts.write_threads = write_threads;
     return opts;
   }
@@ -102,7 +91,7 @@ class WritePipelineTest : public ::testing::Test {
 
   std::unique_ptr<SimulatedClock> clock_ =
       std::make_unique<SimulatedClock>();
-  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+  std::optional<std::string> saved_;
 };
 
 // The tentpole assertion: the same RunMixConcurrent schedule at
@@ -242,14 +231,14 @@ TEST_F(WritePipelineTest, SingleWarehouseConflictDegeneratesSerial) {
   ASSERT_TRUE(db->Close().ok());
 }
 
-// Crash after a concurrent TPC-C mix with records still queued behind a
-// huge group-commit window: recovery must reconcile WAL-durable commits
-// whose compliance tail died in the shipper ring, and the reopened
+// Crash after a concurrent TPC-C mix with records still pending in the
+// compliance log's tail: recovery must reconcile WAL-durable commits
+// whose compliance tail died with the process, and the reopened
 // database must audit clean and keep committing through the scheduler.
 TEST_F(WritePipelineTest, CrashAfterConcurrentMixRecoversAndAuditsClean) {
   std::string dir = FreshDir("crash_mix");
   {
-    auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
+    auto db = Open(MakeOptions(dir, /*write_threads=*/4,
                                /*cache_pages=*/16));
     ASSERT_NE(db, nullptr);
     tpcc::Workload workload(db.get(), SmallScale(), /*seed=*/13);
@@ -260,9 +249,9 @@ TEST_F(WritePipelineTest, CrashAfterConcurrentMixRecoversAndAuditsClean) {
                                            clock_.get(),
                                            /*advance_micros=*/700, &stats);
     ASSERT_TRUE(run.ok()) << run.ToString();
-    // Crash: destructor without Close drops the ring mid-epoch.
+    // Crash: destructor without Close drops the tail mid-epoch.
   }
-  auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
+  auto db = Open(MakeOptions(dir, /*write_threads=*/4,
                              /*cache_pages=*/16));
   ASSERT_NE(db, nullptr);
   EXPECT_TRUE(db->recovered_from_crash());
@@ -323,8 +312,7 @@ TEST_F(WritePipelineTest, ImplicitSlotsSerializeBareTransactions) {
 }
 
 // COMPLYDB_WRITE_THREADS overrides DbOptions.write_threads without a
-// rebuild, and a multi-writer open forces async shipping (the epoch
-// barrier requires the shipper's thread-safe FlushThrough).
+// rebuild.
 TEST_F(WritePipelineTest, EnvVarOverridesWriteThreads) {
   {
     ::setenv("COMPLYDB_WRITE_THREADS", "4", 1);
@@ -332,8 +320,7 @@ TEST_F(WritePipelineTest, EnvVarOverridesWriteThreads) {
     ASSERT_NE(db, nullptr);
     EXPECT_EQ(db->write_threads(), 4u);
     EXPECT_NE(db->write_pipeline(), nullptr);
-    EXPECT_TRUE(db->compliance_logger()->options().async_shipping);
-    EXPECT_STREQ(db->shipper_mode(), "async");
+    EXPECT_STREQ(db->shipper_mode(), "barrier");
     ASSERT_TRUE(db->Close().ok());
   }
   {
@@ -384,9 +371,9 @@ TEST_F(WritePipelineTest, AuditBusyReportsCounts) {
   ASSERT_TRUE(db->Close().ok());
 }
 
-// Crash mid-epoch (PR 3's crash-window harness, multi-writer edition):
-// a 4-writer run against a huge group-commit window, killed without
-// Close while trailing records sit in the shipper ring. Recovery must
+// Crash mid-epoch (the crash-window harness, multi-writer edition): a
+// 4-writer run killed without Close while trailing records sit in the
+// compliance log's tail. Recovery must
 // re-announce WAL-durable commits whose STAMPs died with the ring, the
 // post-crash database must keep working at write_threads=4, and the
 // audit must come back clean.
@@ -394,15 +381,15 @@ TEST_F(WritePipelineTest, CrashMidEpochRecoversAndAuditsClean) {
   std::string dir = FreshDir("crash");
   uint32_t table = 0;
   {
-    auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
+    auto db = Open(MakeOptions(dir, /*write_threads=*/4,
                                /*cache_pages=*/16));
     ASSERT_NE(db, nullptr);
     auto t = db->CreateTable("crash");
     ASSERT_TRUE(t.ok());
     table = t.value();
     // The tiny cache evicts dirty pages mid-run, so the dependent-pwrite
-    // barrier drains the ring repeatedly; the crash then takes whatever
-    // queued after the last epoch barrier.
+    // barrier drains the tail repeatedly; the crash then takes whatever
+    // was appended after the last epoch barrier.
     std::vector<std::thread> pool;
     for (int w = 0; w < 4; ++w) {
       pool.emplace_back([&, w] {
@@ -419,9 +406,9 @@ TEST_F(WritePipelineTest, CrashMidEpochRecoversAndAuditsClean) {
       });
     }
     for (auto& th : pool) th.join();
-    // Crash: destructor without Close drops the ring mid-epoch.
+    // Crash: destructor without Close drops the tail mid-epoch.
   }
-  auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
+  auto db = Open(MakeOptions(dir, /*write_threads=*/4,
                              /*cache_pages=*/16));
   ASSERT_NE(db, nullptr);
   EXPECT_TRUE(db->recovered_from_crash());

@@ -36,7 +36,9 @@
 // disjoint gain. Throughput scales while the compliance log stays
 // byte-identical across *all* runs — the sweep verifies both and writes
 // BENCH_write_scaling.json (baseline: bench/baselines/
-// BENCH_write_scaling.seed.json).
+// BENCH_write_scaling.seed.json). Each arm also records its
+// dirty-threshold checkpoints and page writes; an arm with no checkpoint
+// fails the run, since the identity check must cover the write-back.
 //
 //   ./bench_fig3_runtime --write-threads [slots] [--cross-rate bp]
 
@@ -439,6 +441,8 @@ struct WriteScalingResult {
   uint64_t serialized = 0;
   uint64_t footprint_fallbacks = 0;
   uint64_t conflict_waits = 0;
+  uint64_t checkpoints = 0;  // write-back activity inside the mix
+  uint64_t page_writes = 0;
   size_t log_bytes = 0;
   bool log_identical = true;
   bool audit_ok = false;
@@ -516,6 +520,8 @@ int RunWriteScalingPoint(uint32_t write_threads, bool scheduler_on,
     if (name == "txn.scheduler.footprint_fallbacks")
       out->footprint_fallbacks = value;
     if (name == "txn.scheduler.conflict_waits") out->conflict_waits = value;
+    if (name == "storage.cache.checkpoints") out->checkpoints = value;
+    if (name == "storage.disk.writes") out->page_writes = value;
   }
   if (::getenv("WRITE_SCALING_DEBUG") != nullptr) {
     for (const auto& [name, value] : snapshot.counters) {
@@ -551,10 +557,12 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
               "(%llu slots, cross-rate %lld bp) ===\n",
               static_cast<unsigned long long>(slots),
               static_cast<long long>(cross_bp));
-  std::printf("%13s %10s %10s %9s %12s %8s %12s %10s %10s %8s %7s %6s\n",
+  std::printf("%13s %10s %10s %9s %12s %8s %12s %10s %10s %11s %11s %8s "
+              "%7s %6s\n",
               "write_threads", "mode", "elapsed_s", "commits",
               "commits_per_s", "epochs", "worm_flushes", "concurrent",
-              "fallbacks", "L_bytes", "speedup", "gain");
+              "fallbacks", "checkpoints", "page_writes", "L_bytes",
+              "speedup", "gain");
 
   // Both scheduler arms at each thread count: "turnstile" is PR 6's
   // exclusive admission, "disjoint" adds concurrent execution for
@@ -563,6 +571,7 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
   std::vector<WriteScalingResult> sweep;
   bool all_identical = true;
   bool all_audits_ok = true;
+  bool all_checkpointed = true;
   double gain_4t = 0;
   double baseline_cps = 0;
   for (uint32_t n : {1u, 2u, 4u}) {
@@ -578,6 +587,7 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
         all_identical = all_identical && r.log_identical;
       }
       all_audits_ok = all_audits_ok && r.audit_ok;
+      all_checkpointed = all_checkpointed && r.checkpoints > 0;
       if (baseline_cps == 0) baseline_cps = r.commits_per_sec;
       if (!scheduler_on) turnstile_cps = r.commits_per_sec;
       double speedup = r.commits_per_sec / baseline_cps;
@@ -587,15 +597,17 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
               : 0;
       if (n == 4 && scheduler_on) gain_4t = gain;
       std::printf(
-          "%13u %10s %10.3f %9llu %12.1f %8llu %12llu %10llu %10llu %8zu "
-          "%6.2fx %5.2fx\n",
+          "%13u %10s %10.3f %9llu %12.1f %8llu %12llu %10llu %10llu %11llu "
+          "%11llu %8zu %6.2fx %5.2fx\n",
           r.write_threads, r.mode, r.elapsed_seconds,
           static_cast<unsigned long long>(r.commits), r.commits_per_sec,
           static_cast<unsigned long long>(r.epochs),
           static_cast<unsigned long long>(r.worm_flushes),
           static_cast<unsigned long long>(r.admitted_concurrent),
           static_cast<unsigned long long>(r.footprint_fallbacks),
-          r.log_bytes, speedup, gain);
+          static_cast<unsigned long long>(r.checkpoints),
+          static_cast<unsigned long long>(r.page_writes), r.log_bytes,
+          speedup, gain);
       sweep.push_back(std::move(r));
     }
   }
@@ -607,6 +619,9 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
               speedup_4v1, gain_4t);
   std::printf("compliance log byte-identical across all runs: %s\n",
               all_identical ? "yes" : "NO — DIVERGED");
+  if (!all_checkpointed) {
+    std::fprintf(stderr, "an arm ran no dirty-threshold checkpoint\n");
+  }
 
   std::string json = "{\"bench\":\"write_scaling\",\"slots\":" +
                      std::to_string(slots) +
@@ -616,7 +631,7 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
                      "\"worm_flush_latency_micros\":500,\"sweep\":[";
   for (size_t i = 0; i < sweep.size(); ++i) {
     const WriteScalingResult& r = sweep[i];
-    char buf[768];
+    char buf[1024];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"write_threads\":%u,\"mode\":\"%s\","
                   "\"elapsed_seconds\":%.6f,"
@@ -626,7 +641,8 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
                   "\"latch_waits\":%llu,\"worm_flushes\":%llu,"
                   "\"rollbacks\":%llu,\"admitted_concurrent\":%llu,"
                   "\"serialized\":%llu,\"footprint_fallbacks\":%llu,"
-                  "\"conflict_waits\":%llu,\"log_bytes\":%zu,"
+                  "\"conflict_waits\":%llu,\"checkpoints\":%llu,"
+                  "\"page_writes\":%llu,\"log_bytes\":%zu,"
                   "\"log_identical\":%s,\"audit_ok\":%s}",
                   i == 0 ? "" : ",", r.write_threads, r.mode,
                   r.elapsed_seconds,
@@ -642,6 +658,8 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
                   static_cast<unsigned long long>(r.serialized),
                   static_cast<unsigned long long>(r.footprint_fallbacks),
                   static_cast<unsigned long long>(r.conflict_waits),
+                  static_cast<unsigned long long>(r.checkpoints),
+                  static_cast<unsigned long long>(r.page_writes),
                   r.log_bytes, r.log_identical ? "true" : "false",
                   r.audit_ok ? "true" : "false");
     json += buf;
@@ -649,13 +667,15 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
   json += "],\"speedup_4v1\":" + std::to_string(speedup_4v1) +
           ",\"gain_4t_disjoint_vs_turnstile\":" + std::to_string(gain_4t) +
           ",\"log_identical_all\":" + (all_identical ? "true" : "false") +
-          ",\"audits_ok\":" + (all_audits_ok ? "true" : "false") + "}\n";
+          ",\"audits_ok\":" + (all_audits_ok ? "true" : "false") +
+          ",\"checkpoints_all\":" + (all_checkpointed ? "true" : "false") +
+          "}\n";
   std::FILE* f = std::fopen("BENCH_write_scaling.json", "w");
   if (f == nullptr) return 1;
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   std::printf("metrics artifact: BENCH_write_scaling.json\n");
-  return (all_identical && all_audits_ok) ? 0 : 1;
+  return (all_identical && all_audits_ok && all_checkpointed) ? 0 : 1;
 }
 
 }  // namespace

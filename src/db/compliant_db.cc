@@ -856,8 +856,10 @@ Status CompliantDB::Commit(Transaction* txn) {
     if (s.ok()) s = MaybeRegretTick();
     // Commit boundaries are the drain points for the dirty-threshold
     // checkpoint: they occur at the same logical position in every
-    // execution schedule (serial or pipelined-apply), so the flush batch
-    // lands at an identical offset in L regardless of thread count.
+    // execution schedule (serial or pipelined-apply), and the checkpoint
+    // picks its pages by write recency, which only the applied write
+    // sequence moves, so the same pages land at an identical offset in L
+    // regardless of thread count.
     if (s.ok()) s = cache_->CheckpointIfNeeded();
   }
   // An implicit slot closes with its commit: maintenance above stayed

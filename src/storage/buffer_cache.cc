@@ -40,11 +40,13 @@ BufferCache::BufferCache(DiskManager* disk, size_t capacity, size_t shards)
     Shard& shard = shards_[s];
     shard.free_list.reserve(count);
     for (size_t i = first + count; i-- > first;) shard.free_list.push_back(i);
-    first += count;
+    shard.first_frame = first;
     shard.frame_count = count;
-    // Checkpoint once half the shard is dirty: the other half stays
-    // available as clean victims, so faults between two commit-boundary
-    // checkpoints never have to move a dirty page themselves.
+    first += count;
+    // Checkpoint once half the shard is dirty: the write-back brings it
+    // back just below half, so the other half stays available as clean
+    // victims and faults between two commit-boundary checkpoints rarely
+    // have to move a dirty page themselves.
     shard.checkpoint_at = std::max<size_t>(1, (count + 1) / 2);
     std::string prefix = "storage.cache.shard" + std::to_string(s);
     shard.reg_hits = reg.GetCounter(prefix + ".hits");
@@ -63,6 +65,7 @@ BufferCache::BufferCache(DiskManager* disk, size_t capacity, size_t shards)
 }
 
 void BufferCache::SetDirty(Shard* shard, Frame* frame) {
+  frame->last_write = write_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (frame->dirty) return;
   frame->dirty = true;
   if (++shard->dirty >= shard->checkpoint_at) {
@@ -71,6 +74,7 @@ void BufferCache::SetDirty(Shard* shard, Frame* frame) {
 }
 
 void BufferCache::SetClean(Frame* frame) {
+  frame->marked = false;
   if (!frame->dirty) return;
   frame->dirty = false;
   Shard& shard = ShardFor(frame->pgno);
@@ -147,44 +151,62 @@ void BufferCache::LruPushLru(Shard* shard, size_t idx) {
   f->in_lru = true;
 }
 
-Status BufferCache::WriteOut(Frame* frame) {
-  for (IoHook* hook : hooks_) {
-    CDB_RETURN_IF_ERROR(hook->OnPageWrite(frame->pgno, frame->page));
-  }
-  for (IoHook* hook : hooks_) {
-    CDB_RETURN_IF_ERROR(hook->OnPageWriteBarrier(frame->pgno));
-  }
-  CDB_RETURN_IF_ERROR(disk_->WritePage(frame->pgno, frame->page));
-  SetClean(frame);
-  frame->marked = false;
-  return Status::OK();
-}
-
 // Batch write-out in three phases: every page's records are appended
 // (OnPageWrite), then every page's durability barrier runs — the first
 // barrier drains the compliance log's whole tail, so one WORM fflush
 // covers the entire storm — and only then do the pwrites happen.
 // An error in any phase aborts before a single page reaches disk, which
 // preserves the compliance rule (no pwrite without its records on WORM).
-Status BufferCache::WriteOutBatch(const std::vector<size_t>& batch) {
-  for (size_t idx : batch) {
+// The batch is sorted into page order first, not frame order: which frame
+// holds a page depends on the eviction history, which thread timing can
+// perturb; the flushed L record sequence must not.
+Status BufferCache::WritePages(std::vector<size_t>* batch) {
+  std::sort(batch->begin(), batch->end(), [&](size_t a, size_t b) {
+    return frames_[a].pgno < frames_[b].pgno;
+  });
+  for (size_t idx : *batch) {
     Frame* frame = &frames_[idx];
     for (IoHook* hook : hooks_) {
       CDB_RETURN_IF_ERROR(hook->OnPageWrite(frame->pgno, frame->page));
     }
   }
-  for (size_t idx : batch) {
+  for (size_t idx : *batch) {
     for (IoHook* hook : hooks_) {
       CDB_RETURN_IF_ERROR(hook->OnPageWriteBarrier(frames_[idx].pgno));
     }
   }
-  for (size_t idx : batch) {
+  for (size_t idx : *batch) {
     Frame* frame = &frames_[idx];
     CDB_RETURN_IF_ERROR(disk_->WritePage(frame->pgno, frame->page));
-    SetClean(frame);
-    frame->marked = false;
   }
   return Status::OK();
+}
+
+Status BufferCache::WriteOutBatch(std::vector<size_t>* batch) {
+  CDB_RETURN_IF_ERROR(WritePages(batch));
+  for (size_t idx : *batch) SetClean(&frames_[idx]);
+  return Status::OK();
+}
+
+void BufferCache::CollectLeastRecentlyWritten(const Shard& shard,
+                                              size_t count,
+                                              bool unpinned_only,
+                                              std::vector<size_t>* batch) {
+  std::vector<size_t> dirty;
+  for (size_t i = shard.first_frame;
+       i < shard.first_frame + shard.frame_count; ++i) {
+    const Frame& frame = frames_[i];
+    if (frame.pgno == kInvalidPage || !frame.dirty) continue;
+    if (unpinned_only && !frame.in_lru) continue;
+    dirty.push_back(i);
+  }
+  count = std::min(count, dirty.size());
+  // last_write values are unique, so this order is total.
+  std::partial_sort(dirty.begin(), dirty.begin() + count, dirty.end(),
+                    [&](size_t a, size_t b) {
+                      return frames_[a].last_write < frames_[b].last_write;
+                    });
+  batch->insert(batch->end(), dirty.begin(), dirty.begin() + count);
 }
 
 Result<size_t> BufferCache::FindVictim(Shard* shard, bool allow_flush) {
@@ -209,27 +231,22 @@ Result<size_t> BufferCache::FindVictim(Shard* shard, bool allow_flush) {
     }
   }
   if (victim == kNil) {
-    // No clean frame. Read faults bypass (kNil); write faults flush the
-    // whole shard in page order — still steal (the pages may hold
-    // uncommitted data; the WAL hook enforces the write-ahead rule), but
-    // as one deterministic batch instead of a single LRU-order victim,
-    // since which frame is coldest depends on thread timing while the
-    // dirty *set* depends only on the applied write sequence. Writes only
-    // fault from the serial commit path, so the flush point itself is
-    // schedule-independent. Hooks run under this shard's mutex only
-    // (shard -> WAL -> logger lock order), so other shards keep serving.
+    // No clean frame. Read faults bypass (kNil); write faults write back
+    // the shard's least-recently-written unpinned dirty frame and recycle
+    // it — still steal (the page may hold uncommitted data; the WAL hook
+    // enforces the write-ahead rule). Write recency, unlike LRU position,
+    // is moved only by the serial write path, and writes only fault from
+    // the serial commit path, so the flush point is schedule-independent
+    // and so is the pick, unless a concurrent reader holds a pin on the
+    // coldest dirty frame at that instant. Hooks run under this shard's
+    // mutex only (shard -> WAL -> logger lock order), so other shards keep
+    // serving.
     if (!allow_flush) return kNil;
     std::vector<size_t> batch;
-    for (size_t idx = shard->lru_head; idx != kNil;
-         idx = frames_[idx].lru_next) {
-      if (frames_[idx].dirty) batch.push_back(idx);
-    }
-    std::sort(batch.begin(), batch.end(), [&](size_t a, size_t b) {
-      return frames_[a].pgno < frames_[b].pgno;
-    });
-    CDB_RETURN_IF_ERROR(WriteOutBatch(batch));
+    CollectLeastRecentlyWritten(*shard, 1, /*unpinned_only=*/true, &batch);
+    CDB_RETURN_IF_ERROR(WriteOutBatch(&batch));
     reg_shard_flushes_->Inc();
-    victim = shard->lru_head;
+    victim = batch.front();
   }
   LruRemove(shard, victim);
   Frame* frame = &frames_[victim];
@@ -414,9 +431,9 @@ Status BufferCache::FlushPage(PageId pgno) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.table.find(pgno);
   if (it == shard.table.end()) return Status::OK();
-  Frame* frame = &frames_[it->second];
-  if (!frame->dirty) return Status::OK();
-  return WriteOut(frame);
+  if (!frames_[it->second].dirty) return Status::OK();
+  std::vector<size_t> batch{it->second};
+  return WriteOutBatch(&batch);
 }
 
 // Whole-cache operations hold every shard mutex (index order) for their
@@ -430,13 +447,7 @@ Status BufferCache::FlushAllLocked() {
     Frame& frame = frames_[i];
     if (frame.pgno != kInvalidPage && frame.dirty) batch.push_back(i);
   }
-  // Page order, not frame order: which frame holds a page depends on the
-  // eviction history, which thread timing can perturb; the flushed L
-  // record sequence must not.
-  std::sort(batch.begin(), batch.end(), [&](size_t a, size_t b) {
-    return frames_[a].pgno < frames_[b].pgno;
-  });
-  return WriteOutBatch(batch);
+  return WriteOutBatch(&batch);
 }
 
 Status BufferCache::FlushAll() {
@@ -451,22 +462,32 @@ Status BufferCache::CheckpointIfNeeded() {
   if (!checkpoint_pending_.load(std::memory_order_relaxed)) {
     return Status::OK();
   }
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) locks.emplace_back(shards_[s].mu);
   checkpoint_pending_.store(false, std::memory_order_relaxed);
-  // Re-verify under the locks: an epoch flush may have drained the dirty
-  // set since the flag was raised.
-  bool need = false;
+  // Re-verified under each lock: a regret flush may have drained the
+  // dirty set since the flag was raised.
+  std::vector<size_t> batch;
   for (size_t s = 0; s < num_shards_; ++s) {
-    if (shards_[s].dirty >= shards_[s].checkpoint_at) {
-      need = true;
-      break;
-    }
+    Shard& shard = shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (shard.dirty < shard.checkpoint_at) continue;
+    CollectLeastRecentlyWritten(shard, shard.dirty - shard.checkpoint_at + 1,
+                                /*unpinned_only=*/false, &batch);
   }
-  if (!need) return Status::OK();
+  if (batch.empty()) return Status::OK();
+  checkpoints_.Inc();
   reg_checkpoints_->Inc();
-  return FlushAllLocked();
+  // The I/O runs with no shard mutex held, so readers of these shards
+  // keep being served. The batch cannot move meanwhile: its frames stay
+  // dirty until marked clean below, eviction recycles only clean frames,
+  // and only the serial write path — this caller — edits page contents
+  // or writes dirty pages back.
+  CDB_RETURN_IF_ERROR(WritePages(&batch));
+  for (size_t idx : batch) {
+    Frame* frame = &frames_[idx];
+    std::lock_guard<std::mutex> lock(ShardFor(frame->pgno).mu);
+    SetClean(frame);
+  }
+  return Status::OK();
 }
 
 Status BufferCache::FlushMarkedAndRemark() {
@@ -479,11 +500,7 @@ Status BufferCache::FlushMarkedAndRemark() {
     if (frame.pgno == kInvalidPage) continue;
     if (frame.dirty && frame.marked) batch.push_back(i);
   }
-  // Same page-order rule as FlushAllLocked.
-  std::sort(batch.begin(), batch.end(), [&](size_t a, size_t b) {
-    return frames_[a].pgno < frames_[b].pgno;
-  });
-  CDB_RETURN_IF_ERROR(WriteOutBatch(batch));
+  CDB_RETURN_IF_ERROR(WriteOutBatch(&batch));
   for (size_t idx : batch) {
     reg_page_forces_->Inc();
     obs::TraceRing::Global().Emit(obs::TraceEventType::kPageForce,
@@ -513,18 +530,15 @@ Status BufferCache::DropAll() {
       return Status::Busy("buffer cache: cannot drop bypassed page");
     }
   }
-  size_t base = capacity_ / num_shards_;
-  size_t extra = capacity_ % num_shards_;
-  size_t first = 0;
   for (size_t s = 0; s < num_shards_; ++s) {
-    size_t count = base + (s < extra ? 1 : 0);
     Shard& shard = shards_[s];
     shard.table.clear();
     shard.free_list.clear();
     shard.lru_head = kNil;
     shard.lru_tail = kNil;
     shard.dirty = 0;
-    for (size_t i = first + count; i-- > first;) {
+    for (size_t i = shard.first_frame + shard.frame_count;
+         i-- > shard.first_frame;) {
       Frame& frame = frames_[i];
       frame.pgno = kInvalidPage;
       frame.dirty = false;
@@ -535,7 +549,6 @@ Status BufferCache::DropAll() {
       frame.in_lru = false;
       shard.free_list.push_back(i);
     }
-    first += count;
   }
   return Status::OK();
 }

@@ -32,14 +32,19 @@ enum class PageLatchMode { kNone, kShared, kExclusive };
 /// Dirty write-out happens only at *deterministic flush points*: the
 /// regret-cycle FlushMarkedAndRemark, the dirty-threshold checkpoint
 /// (CheckpointIfNeeded, driven by per-shard dirty counts that only writes
-/// move), and — last resort — a whole-shard flush when a write fault finds
-/// no clean frame. Eviction itself only ever recycles clean frames, and a
-/// shared-latch (read) fault that finds none bypasses the cache through a
-/// transient overflow frame. This is what makes the compliance log L a
-/// pure function of the applied write sequence: concurrent slot-execute
-/// reads may shuffle the LRU and warm or cool any page, but they can never
-/// move a compliance-visible page image to WORM at a thread-dependent
-/// time.
+/// move), and — last resort — a single-page write-back when a write fault
+/// finds no clean frame. Both the checkpoint and the write fault pick
+/// pages by *write recency*: every frame carries the `last_write` sequence
+/// number of the Unpin(dirty) or NewPage that last dirtied it, and the
+/// least-recently-written dirty pages go first, so pages the workload
+/// keeps rewriting stay cached until the regret cycle forces them.
+/// Eviction itself only ever recycles clean frames, and a shared-latch
+/// (read) fault that finds none bypasses the cache through a transient
+/// overflow frame. This is what makes the compliance log L a pure function
+/// of the applied write sequence: concurrent slot-execute reads may
+/// shuffle the LRU and warm or cool any page, but they move neither dirty
+/// counts nor write recency, so they can never move a compliance-visible
+/// page image to WORM at a thread-dependent time.
 ///
 /// Every disk crossing runs the registered IoHooks; the compliance logger
 /// observes the database exclusively through this seam.
@@ -61,7 +66,9 @@ enum class PageLatchMode { kNone, kShared, kExclusive };
 /// holder keeps a pin). Whole-cache operations (FlushAll,
 /// FlushMarkedAndRemark, DropAll, dirty_count) take every shard mutex in
 /// index order, which also keeps the write-out batch stable against
-/// concurrent reader-side evictions.
+/// concurrent reader-side evictions. CheckpointIfNeeded holds one shard
+/// mutex at a time, only to pick pages and to mark them clean after the
+/// I/O, so readers never wait out a commit-boundary checkpoint's I/O.
 class BufferCache {
  public:
   /// `shards` is rounded down to a power of two and clamped to
@@ -99,12 +106,16 @@ class BufferCache {
   /// the currently dirty pages for the next one.
   Status FlushMarkedAndRemark();
 
-  /// Dirty-threshold checkpoint: when any shard's dirty count has crossed
-  /// half its frame budget, flush every dirty page (page order). Callers
-  /// invoke this at commit/abort boundaries — points that occur at the
-  /// same logical position in every execution schedule — so the flush
-  /// batches land at identical L offsets regardless of thread count.
-  /// Cheap when no threshold was crossed (one relaxed load).
+  /// Dirty-threshold checkpoint: in every shard whose dirty count has
+  /// reached half its frame budget, write back the least-recently-written
+  /// dirty pages until the shard is just below half dirty; the pages of
+  /// all such shards go out as one page-ordered batch (one compliance-log
+  /// barrier drain). Callers invoke this at commit/abort boundaries —
+  /// points that occur at the same logical position in every execution
+  /// schedule — and both the dirty counts and the write recency are
+  /// functions of the applied write sequence, so the batch and its L
+  /// offset are identical regardless of thread count. Cheap when no
+  /// threshold was crossed (one relaxed load).
   Status CheckpointIfNeeded();
 
   /// Drops all unpinned frames (dirty frames are flushed first). Used to
@@ -116,6 +127,8 @@ class BufferCache {
   uint64_t hits() const { return hits_.Value(); }
   uint64_t misses() const { return misses_.Value(); }
   uint64_t evictions() const { return evictions_.Value(); }
+  /// Checkpoints that wrote back at least one page.
+  uint64_t checkpoints() const { return checkpoints_.Value(); }
   size_t dirty_count() const;
 
   DiskManager* disk() const { return disk_; }
@@ -128,6 +141,9 @@ class BufferCache {
     PageId pgno = kInvalidPage;  // kInvalidPage = not resident
     bool dirty = false;          // guarded by the owning shard's mutex
     bool marked = false;         // guarded by the owning shard's mutex
+    /// write_clock_ value of the last dirtying Unpin or NewPage; guarded
+    /// by the owning shard's mutex. Meaningful only while dirty.
+    uint64_t last_write = 0;
     std::atomic<int> pin_count{0};
     /// Content latch. Acquired only through PageLatchMode fetches; every
     /// holder also holds a pin, so pin_count == 0 implies the latch is
@@ -160,6 +176,7 @@ class BufferCache {
     std::vector<size_t> free_list;
     size_t lru_head = kNil;
     size_t lru_tail = kNil;
+    size_t first_frame = 0;   // shard owns [first_frame, +frame_count)
     size_t frame_count = 0;   // static budget of this shard
     size_t dirty = 0;         // resident dirty frames; guarded by mu
     size_t checkpoint_at = 0; // dirty >= this requests a checkpoint
@@ -178,14 +195,26 @@ class BufferCache {
   void AcquireLatch(Frame* frame, PageLatchMode mode);
   static void ReleaseLatch(Frame* frame, PageLatchMode mode);
 
-  Status WriteOut(Frame* frame);
-  Status WriteOutBatch(const std::vector<size_t>& batch);
+  /// Sorts the batch into page order and writes it: compliance records,
+  /// barriers, pwrites. Leaves the frames' dirty state alone.
+  Status WritePages(std::vector<size_t>* batch);
+  /// WritePages, then marks the frames clean; requires the mutexes of
+  /// every shard the batch touches.
+  Status WriteOutBatch(std::vector<size_t>* batch);
   void SetDirty(Shard* shard, Frame* frame);
+  /// Clears the dirty and regret marks after a write-back.
   void SetClean(Frame* frame);
+  /// Requires the shard's mutex. Appends to `batch` the (at most) `count`
+  /// dirty frames of `shard` with the oldest last_write; with
+  /// `unpinned_only`, pinned frames are not candidates.
+  void CollectLeastRecentlyWritten(const Shard& shard, size_t count,
+                                   bool unpinned_only,
+                                   std::vector<size_t>* batch);
   /// Requires the shard's mutex. Returns a recycled clean frame index, or
   /// kNil when the shard holds no clean unpinned frame and `allow_flush`
   /// is false (the caller bypasses). With `allow_flush`, a clean-frame
-  /// drought triggers a whole-shard dirty flush (page order) first.
+  /// drought writes back the least-recently-written unpinned dirty frame
+  /// and recycles it.
   Result<size_t> FindVictim(Shard* shard, bool allow_flush);
   /// Collect + batch-write every dirty resident frame; requires all shard
   /// mutexes (DropAll composes it with the reset under one lock scope).
@@ -208,6 +237,7 @@ class BufferCache {
   obs::Counter hits_;
   obs::Counter misses_;
   obs::Counter evictions_;
+  obs::Counter checkpoints_;
   obs::Counter* reg_hits_;
   obs::Counter* reg_misses_;
   obs::Counter* reg_evictions_;
@@ -222,6 +252,11 @@ class BufferCache {
   /// move only on the (serial) write path, so the flag's history is a
   /// pure function of the applied write sequence.
   std::atomic<bool> checkpoint_pending_{false};
+  /// Write-recency clock behind Frame::last_write. Only the serial
+  /// write/apply path dirties pages, so its sequence is a pure function of
+  /// the applied write sequence too. Atomic because every shard bumps it
+  /// and the shard mutexes do not order one another.
+  std::atomic<uint64_t> write_clock_{0};
 };
 
 /// RAII pin guard. Carries the latch mode taken at fetch so Release pairs

@@ -57,6 +57,13 @@ class BufferCacheTest : public ::testing::Test {
     return r.value();
   }
 
+  void Rewrite(BufferCache* cache, PageId pgno, uint32_t stamp) {
+    Page* page = nullptr;
+    ASSERT_TRUE(cache->FetchPage(pgno, &page).ok());
+    EncodeFixed32(page->data() + Page::kHeaderSize, stamp);
+    cache->Unpin(pgno, /*dirty=*/true);
+  }
+
   uint32_t ReadStamp(BufferCache* cache, PageId pgno) {
     Page* page = nullptr;
     EXPECT_TRUE(cache->FetchPage(pgno, &page).ok());
@@ -93,24 +100,87 @@ TEST_F(BufferCacheTest, EvictsInLeastRecentlyUsedOrder) {
   PageId a = Alloc(&cache, 1);
   PageId b = Alloc(&cache, 2);
   PageId c = Alloc(&cache, 3);
-  // Re-touch a: recency order is now b < c < a.
+  // Re-touch a: recency order is now b < c < a. Reading does not move
+  // write recency, which stays a < b < c.
   EXPECT_EQ(ReadStamp(&cache, a), 1u);
   hook.writes.clear();
-  // Every frame is dirty, so the first write fault hits a clean-frame
-  // drought: the shard flushes wholesale in page order (one deterministic
-  // batch), then recycles clean frames in recency order with no further
-  // write-out.
-  Alloc(&cache, 4);  // shard flush {a,b,c}, then evicts b
-  Alloc(&cache, 5);  // evicts c
-  Alloc(&cache, 6);  // evicts a
+  // Every frame is dirty, so each write fault hits a clean-frame drought:
+  // it writes back the least-recently-written dirty frame and recycles it.
+  PageId d = Alloc(&cache, 4);  // writes back and evicts a
+  Alloc(&cache, 5);              // b
+  Alloc(&cache, 6);              // c
   ASSERT_EQ(hook.writes.size(), 3u);
   EXPECT_EQ(hook.writes[0], a);
   EXPECT_EQ(hook.writes[1], b);
   EXPECT_EQ(hook.writes[2], c);
   EXPECT_GE(cache.evictions(), 3u);
-  // The flushed-then-evicted pages survived with their contents.
+  // Clean frames are recycled in LRU order: with d re-touched, the two
+  // misses below evict the other two pages and leave d resident.
+  ASSERT_TRUE(cache.FlushAll().ok());
+  EXPECT_EQ(ReadStamp(&cache, d), 4u);
+  hook.reads.clear();
+  hook.writes.clear();
+  // The written-back pages survived with their contents.
   EXPECT_EQ(ReadStamp(&cache, b), 2u);
   EXPECT_EQ(ReadStamp(&cache, c), 3u);
+  EXPECT_EQ(ReadStamp(&cache, d), 4u);  // hit: no disk read
+  EXPECT_EQ(hook.reads, (std::vector<PageId>{b, c}));
+  EXPECT_TRUE(hook.writes.empty());
+}
+
+TEST_F(BufferCacheTest, CheckpointWritesBackLeastRecentlyWrittenFrames) {
+  // One shard of eight frames: the checkpoint fires at four dirty pages
+  // and writes back until three remain.
+  RecordingHook hook;
+  BufferCache cache(disk_.get(), 8);
+  cache.AddHook(&hook);
+  PageId a = Alloc(&cache, 1);
+  PageId b = Alloc(&cache, 2);
+  PageId c = Alloc(&cache, 3);
+  Rewrite(&cache, a, 11);  // write recency is now b < c < a
+  PageId d = Alloc(&cache, 4);
+  ASSERT_TRUE(hook.writes.empty());
+  ASSERT_TRUE(cache.CheckpointIfNeeded().ok());
+  // Only the coldest page for writes goes out; the re-dirtied a stays.
+  EXPECT_EQ(hook.writes, (std::vector<PageId>{b}));
+  EXPECT_EQ(cache.dirty_count(), 3u);
+  EXPECT_EQ(cache.checkpoints(), 1u);
+  // Below threshold now: a second checkpoint writes nothing.
+  ASSERT_TRUE(cache.CheckpointIfNeeded().ok());
+  EXPECT_EQ(hook.writes.size(), 1u);
+  EXPECT_EQ(cache.checkpoints(), 1u);
+  hook.writes.clear();
+  ASSERT_TRUE(cache.FlushAll().ok());
+  EXPECT_EQ(hook.writes, (std::vector<PageId>{a, c, d}));
+  EXPECT_EQ(ReadStamp(&cache, a), 11u);
+}
+
+TEST_F(BufferCacheTest, HotPageForcedWithinTwoRegretCycles) {
+  // §IV-A: a page dirty at one regret tick reaches disk by the next, even
+  // if the workload rewrites it so often that no checkpoint picks it.
+  RecordingHook hook;
+  BufferCache cache(disk_.get(), 4);  // checkpoint at two dirty pages
+  cache.AddHook(&hook);
+  PageId hot = Alloc(&cache, 0);
+  auto hot_writes = [&] {
+    return std::count(hook.writes.begin(), hook.writes.end(), hot);
+  };
+  uint32_t stamp = 0;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    for (int round = 0; round < 3; ++round) {
+      Alloc(&cache, 100 + stamp);
+      Rewrite(&cache, hot, ++stamp);
+      ASSERT_TRUE(cache.CheckpointIfNeeded().ok());
+      EXPECT_EQ(hot_writes(), 0) << "cycle " << cycle << " round " << round;
+    }
+    ASSERT_TRUE(cache.FlushMarkedAndRemark().ok());
+  }
+  // The first tick marked it; the second forced it.
+  EXPECT_EQ(hot_writes(), 1);
+  EXPECT_EQ(cache.checkpoints(), 6u);
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  ASSERT_TRUE(cache.DropAll().ok());
+  EXPECT_EQ(ReadStamp(&cache, hot), stamp);
 }
 
 TEST_F(BufferCacheTest, HitsAndMisses) {
@@ -316,7 +386,9 @@ TEST_F(BufferCacheTest, ConcurrentFetchUnpinEvictStress) {
   // concurrent miss/evict/latch traffic across shards. Each page carries
   // the same stamp in two words; the writer bumps both under an exclusive
   // latch, so any reader observing a mismatch under its shared latch saw a
-  // torn write. Run under TSan in CI.
+  // torn write. After each write the writer runs the commit-boundary
+  // checkpoint, whose I/O races the readers with no shard mutex held. Run
+  // under TSan in CI.
   BufferCache cache(disk_.get(), 8, 4);
   constexpr uint32_t kPages = 32;
   std::vector<PageId> pages;
@@ -366,6 +438,7 @@ TEST_F(BufferCacheTest, ConcurrentFetchUnpinEvictStress) {
     EncodeFixed32(page->data() + Page::kHeaderSize, v);
     EncodeFixed32(page->data() + Page::kHeaderSize + 4, v);
     cache.Unpin(pgno, true, PageLatchMode::kExclusive);
+    ASSERT_TRUE(cache.CheckpointIfNeeded().ok());
     ++writes_ok;
   }
   for (auto& th : readers) th.join();
@@ -373,6 +446,7 @@ TEST_F(BufferCacheTest, ConcurrentFetchUnpinEvictStress) {
   EXPECT_FALSE(torn.load());
   EXPECT_GT(reads_ok.load(), 0u);
   EXPECT_GT(writes_ok, 0u);
+  EXPECT_GT(cache.checkpoints(), 0u);
   // The cache is still coherent: every page readable, words consistent.
   for (PageId pgno : pages) {
     Page* page = nullptr;

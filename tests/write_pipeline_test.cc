@@ -24,6 +24,7 @@
 #include "audit/epoch_chain.h"
 #include "compliance/compliance_log.h"
 #include "db/compliant_db.h"
+#include "obs/metrics.h"
 #include "tpcc/workload.h"
 #include "txn/slot_scheduler.h"
 
@@ -116,10 +117,16 @@ TEST_F(WritePipelineTest, LogBytesIdenticalAcrossWriteThreads) {
     tpcc::Workload workload(db.get(), SmallScale(), /*seed=*/42);
     ASSERT_TRUE(workload.CreateOrAttachTables().ok());
     ASSERT_TRUE(workload.Load().ok());
+    obs::Counter* checkpoints =
+        obs::MetricsRegistry::Global().GetCounter("storage.cache.checkpoints");
+    uint64_t checkpoints_before = checkpoints->Value();
     Status run = workload.RunMixConcurrent(kSlots, wt, clock_.get(),
                                            /*advance_micros=*/700, &stats[i]);
     ASSERT_TRUE(run.ok()) << run.ToString();
     EXPECT_EQ(stats[i].total(), kSlots);
+    // The dirty-threshold checkpoint's partial write-back must run inside
+    // the mix, or the byte-identity check below would not cover it.
+    EXPECT_GT(checkpoints->Value(), checkpoints_before) << "wt=" << wt;
     if (auto* pipeline = db->write_pipeline()) {
       EXPECT_EQ(pipeline->in_flight(), 0u);
       EXPECT_GT(pipeline->epochs(), 0u);

@@ -320,6 +320,13 @@ int main(int argc, char** argv) {
                       r.value().compliance_log_bytes),
                   static_cast<unsigned long long>(
                       r.value().historical_pages));
+      std::printf("write-back: dirty_pages=%zu checkpoints=%llu "
+                  "disk_writes=%llu\n",
+                  db->cache()->dirty_count(),
+                  static_cast<unsigned long long>(
+                      db->cache()->checkpoints()),
+                  static_cast<unsigned long long>(
+                      db->cache()->disk()->writes()));
       std::printf("config: write_threads=%u cache_shards=%zu shipper=%s\n",
                   db->write_threads(), db->cache()->shards(),
                   db->shipper_mode());

@@ -16,12 +16,14 @@ struct BtreeMetrics {
   obs::Counter* root_grows;
   obs::Counter* time_splits;
   obs::Counter* version_hops;
+  obs::Counter* latest_fallbacks;
   BtreeMetrics() {
     auto& reg = obs::MetricsRegistry::Global();
     key_splits = reg.GetCounter("btree.key_splits");
     root_grows = reg.GetCounter("btree.root_grows");
     time_splits = reg.GetCounter("btree.time_splits");
     version_hops = reg.GetCounter("btree.version_hops");
+    latest_fallbacks = reg.GetCounter("btree.latest_fallbacks");
   }
 };
 BtreeMetrics& Bm() {
@@ -181,6 +183,24 @@ Status Btree::DescendToLeaf(Slice key, uint64_t start,
   }
   env_.cache->Unpin(pgno, false, PageLatchMode::kShared);
   return Status::Corruption("tree too deep (cycle?)");
+}
+
+// DescendToLeaf, then the leaf it reached, shared-latched. Between the
+// descent dropping its latches and the refetch, a concurrent RootGrow can
+// reformat the root — the only page whose type ever changes — into an
+// internal node; re-descend when that happens. Sibling pointers never lead
+// back to the root, so a walk right from here needs no such check.
+Status Btree::FetchLeafShared(Slice key, uint64_t start, PageId* pgno,
+                              Page** leaf) const {
+  for (;;) {
+    std::vector<PageId> path;
+    CDB_RETURN_IF_ERROR(DescendToLeaf(key, start, &path));
+    *pgno = path.back();
+    CDB_RETURN_IF_ERROR(
+        env_.cache->FetchPage(*pgno, leaf, PageLatchMode::kShared));
+    if ((*leaf)->type() == PageType::kBtreeLeaf) return Status::OK();
+    env_.cache->Unpin(*pgno, false, PageLatchMode::kShared);
+  }
 }
 
 Status Btree::InsertVersion(TxnWalContext* txn, const TupleData& tuple,
@@ -670,33 +690,60 @@ Status Btree::StampVersion(TxnWalContext* txn, Slice key, uint64_t txn_start,
 }
 
 Status Btree::GetLatest(Slice key, TupleData* out) {
-  std::vector<TupleData> versions;
-  CDB_RETURN_IF_ERROR(GetVersions(key, &versions));
-  if (versions.empty()) return Status::NotFound("no such key");
-  const TupleData& last = versions.back();
-  if (last.eol) return Status::NotFound("key deleted");
-  *out = last;
+  // A key's newest version sorts last in its thread, so it is the slot
+  // just before the lower bound of (key, +inf) — starts are commit times
+  // or transaction ids, never UINT64_MAX. That slot is on the leaf the
+  // descent reaches unless the bound is slot 0 (the thread, if any, ends
+  // in a left leaf) or the leaf's end with the thread going on in the
+  // right sibling (a split moved it there after the descent). Both are
+  // rare; they walk the thread as GetVersions does.
+  constexpr uint64_t kNewest = UINT64_MAX;
+  PageId pgno = kInvalidPage;
+  Page* leaf = nullptr;
+  CDB_RETURN_IF_ERROR(FetchLeafShared(key, kNewest, &pgno, &leaf));
+  uint16_t pos = LeafLowerBound(*leaf, key, kNewest);
+  bool walk = pos == 0;
+  if (!walk && pos == leaf->slot_count() &&
+      leaf->right_sibling() != kInvalidPage) {
+    // Peek at the sibling's first slot with the leaf still latched
+    // (left-to-right, the readers' latch order), so no split can move
+    // the newest version between the two looks.
+    PageId next = leaf->right_sibling();
+    Page* right = nullptr;
+    Status st = env_.cache->FetchPage(next, &right, PageLatchMode::kShared);
+    if (!st.ok()) {
+      env_.cache->Unpin(pgno, false, PageLatchMode::kShared);
+      return st;
+    }
+    Slice k;
+    uint64_t s = 0;
+    walk = right->slot_count() == 0 ||
+           !DecodeTupleKey(right->RecordAt(0), &k, &s).ok() ||
+           k.compare(key) <= 0;
+    env_.cache->Unpin(next, false, PageLatchMode::kShared);
+  }
+  TupleData t;
+  Status st = walk ? Status::OK() : DecodeTuple(leaf->RecordAt(pos - 1), &t);
+  env_.cache->Unpin(pgno, false, PageLatchMode::kShared);
+  CDB_RETURN_IF_ERROR(st);
+  if (walk) {
+    Bm().latest_fallbacks->Inc();
+    std::vector<TupleData> versions;
+    CDB_RETURN_IF_ERROR(GetVersions(key, &versions));
+    if (versions.empty()) return Status::NotFound("no such key");
+    t = std::move(versions.back());
+  }
+  if (Slice(t.key) != key) return Status::NotFound("no such key");
+  if (t.eol) return Status::NotFound("key deleted");
+  *out = std::move(t);
   return Status::OK();
 }
 
 Status Btree::GetVersions(Slice key, std::vector<TupleData>* out) {
   out->clear();
-  // Between DescendToLeaf dropping its latches and the refetch below, a
-  // concurrent RootGrow can reformat the root — the only page whose type
-  // ever changes — into an internal node; re-descend when that happens.
-  // Sibling pointers never lead back to the root, so only the first leaf
-  // needs the check.
   PageId pgno = kInvalidPage;
   Page* first = nullptr;
-  for (;;) {
-    std::vector<PageId> path;
-    CDB_RETURN_IF_ERROR(DescendToLeaf(key, 0, &path));
-    pgno = path.back();
-    CDB_RETURN_IF_ERROR(
-        env_.cache->FetchPage(pgno, &first, PageLatchMode::kShared));
-    if (first->type() == PageType::kBtreeLeaf) break;
-    env_.cache->Unpin(pgno, false, PageLatchMode::kShared);
-  }
+  CDB_RETURN_IF_ERROR(FetchLeafShared(key, 0, &pgno, &first));
   // Versions of a key can spill across leaves; follow siblings until a
   // larger key is seen (keys are globally sorted across the leaf chain).
   bool saw_larger_key = false;
@@ -742,7 +789,7 @@ Status Btree::ScanAll(
     const std::function<Status(PageId, const TupleData&)>& fn) {
   // Find the leftmost leaf, restarting if a concurrent RootGrow turns the
   // root into an internal node between the descent and the first fetch of
-  // the sibling walk (see GetVersions).
+  // the sibling walk (see FetchLeafShared).
   PageId pgno = kInvalidPage;
   Page* first = nullptr;
   for (;;) {
@@ -797,19 +844,9 @@ Status Btree::ScanAll(
 Status Btree::ScanVersionsInRange(
     Slice begin, Slice end,
     const std::function<Status(const TupleData&)>& fn) {
-  // Same RootGrow race as GetVersions: re-descend if the page the descent
-  // landed on was reformatted into an internal node in the meantime.
   PageId pgno = kInvalidPage;
   Page* first = nullptr;
-  for (;;) {
-    std::vector<PageId> path;
-    CDB_RETURN_IF_ERROR(DescendToLeaf(begin, 0, &path));
-    pgno = path.back();
-    CDB_RETURN_IF_ERROR(
-        env_.cache->FetchPage(pgno, &first, PageLatchMode::kShared));
-    if (first->type() == PageType::kBtreeLeaf) break;
-    env_.cache->Unpin(pgno, false, PageLatchMode::kShared);
-  }
+  CDB_RETURN_IF_ERROR(FetchLeafShared(begin, 0, &pgno, &first));
   std::string end_key = end.ToString();
   bool stopped = false;
   while (pgno != kInvalidPage && !stopped) {

@@ -85,7 +85,9 @@ class Btree {
   Status StampVersion(TxnWalContext* txn, Slice key, uint64_t txn_start,
                       uint64_t commit_time);
 
-  /// Latest version of `key`; NotFound if none or end-of-life.
+  /// Latest version of `key`; NotFound if none or end-of-life. Equal to
+  /// the last element of GetVersions(key), but found by one probe for the
+  /// newest version instead of a walk over the whole version thread.
   Status GetLatest(Slice key, TupleData* out);
 
   /// All versions of `key`, oldest first (crosses page boundaries).
@@ -123,6 +125,8 @@ class Btree {
  private:
   Status DescendToLeaf(Slice key, uint64_t start,
                        std::vector<PageId>* path) const;
+  Status FetchLeafShared(Slice key, uint64_t start, PageId* pgno,
+                         Page** leaf) const;
   Status HandleLeafOverflow(const std::vector<PageId>& path);
   Status KeySplit(const std::vector<PageId>& path, size_t depth);
   Status SplitInternal(PageId pgno);

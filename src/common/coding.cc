@@ -1,21 +1,6 @@
 #include "common/coding.h"
 
-#include <cstring>
-
 namespace complydb {
-
-void EncodeFixed16(char* dst, uint16_t v) {
-  dst[0] = static_cast<char>(v & 0xff);
-  dst[1] = static_cast<char>((v >> 8) & 0xff);
-}
-
-void EncodeFixed32(char* dst, uint32_t v) {
-  for (int i = 0; i < 4; ++i) dst[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void EncodeFixed64(char* dst, uint64_t v) {
-  for (int i = 0; i < 8; ++i) dst[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
 
 void PutFixed16(std::string* dst, uint16_t v) {
   char buf[2];
@@ -33,25 +18,6 @@ void PutFixed64(std::string* dst, uint64_t v) {
   char buf[8];
   EncodeFixed64(buf, v);
   dst->append(buf, 8);
-}
-
-uint16_t DecodeFixed16(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint16_t>(u[0]) | (static_cast<uint16_t>(u[1]) << 8);
-}
-
-uint32_t DecodeFixed32(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | u[i];
-  return v;
-}
-
-uint64_t DecodeFixed64(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | u[i];
-  return v;
 }
 
 void PutLengthPrefixed(std::string* dst, const Slice& s) {

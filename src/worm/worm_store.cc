@@ -263,10 +263,16 @@ Status WormStore::ReadAllLocked(const std::string& name,
     }
     it->second.durable_size = it->second.size;
   }
-  std::ifstream in(PathFor(name), std::ios::binary);
+  // Size the buffer once and fill it with one read: the full audit and
+  // OpenExisting pull all of L through here.
+  std::ifstream in(PathFor(name), std::ios::binary | std::ios::ate);
   if (!in.is_open()) return Status::IOError("worm: read open " + name);
-  out->assign((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
+  std::streamoff len = in.tellg();
+  if (len < 0) return Status::IOError("worm: read size " + name);
+  out->resize(static_cast<size_t>(len));
+  in.seekg(0);
+  in.read(out->data(), len);
+  out->resize(static_cast<size_t>(std::max<std::streamsize>(in.gcount(), 0)));
   // The real server would never serve a file shorter than its recorded
   // size; a mismatch here means someone edited the backing directory
   // out-of-band, which the emulation reports as tampering.

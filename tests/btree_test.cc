@@ -2,15 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cinttypes>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <set>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "btree/integrity.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/buffer_cache.h"
 #include "storage/disk_manager.h"
 
@@ -63,6 +70,92 @@ class BtreeTest : public ::testing::Test {
     EXPECT_TRUE(r.value().ok())
         << "first problem: "
         << (r.value().problems.empty() ? "" : r.value().problems[0]);
+  }
+
+  // The way GetLatest goes for a key, read off the pages directly:
+  // the newest version is found inside the leaf the descent reaches, or
+  // that leaf ends and its right sibling starts with a larger key (both
+  // one probe), or the sibling starts with the same key (or is empty), or
+  // the probe lands on slot 0 (both walk the version thread).
+  enum class LatestPath { kInLeaf, kSiblingLarger, kSiblingSameKey, kSlotZero };
+
+  LatestPath ClassifyLatest(const std::string& key) {
+    PageId pgno = tree_->root();
+    Page* page = nullptr;
+    EXPECT_TRUE(cache_->FetchPage(pgno, &page).ok());
+    while (page->type() != PageType::kBtreeLeaf) {
+      IndexEntry e;
+      EXPECT_TRUE(DecodeIndexEntry(
+                      page->RecordAt(InternalFindChild(*page, key, UINT64_MAX)),
+                      &e)
+                      .ok());
+      cache_->Unpin(pgno, false);
+      pgno = e.child;
+      EXPECT_TRUE(cache_->FetchPage(pgno, &page).ok());
+    }
+    uint16_t pos = LeafLowerBound(*page, key, UINT64_MAX);
+    LatestPath path = LatestPath::kInLeaf;
+    if (pos == 0) {
+      path = LatestPath::kSlotZero;
+    } else if (pos == page->slot_count() &&
+               page->right_sibling() != kInvalidPage) {
+      Page* right = nullptr;
+      EXPECT_TRUE(cache_->FetchPage(page->right_sibling(), &right).ok());
+      TupleData first;
+      bool larger = right->slot_count() > 0 &&
+                    DecodeTuple(right->RecordAt(0), &first).ok() &&
+                    first.key > key;
+      path = larger ? LatestPath::kSiblingLarger : LatestPath::kSiblingSameKey;
+      cache_->Unpin(page->right_sibling(), false);
+    }
+    cache_->Unpin(pgno, false);
+    return path;
+  }
+
+  // GetLatest must answer exactly what the last element of the full
+  // version walk says: that version, or NotFound when there is none or it
+  // is an end-of-life marker.
+  void ExpectLatestMatchesWalk(const std::string& key) {
+    std::vector<TupleData> versions;
+    ASSERT_TRUE(tree_->GetVersions(key, &versions).ok());
+    TupleData latest;
+    Status s = tree_->GetLatest(key, &latest);
+    if (versions.empty() || versions.back().eol) {
+      EXPECT_TRUE(s.IsNotFound()) << key << ": " << s.ToString();
+      return;
+    }
+    ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+    const TupleData& want = versions.back();
+    EXPECT_EQ(latest.key, want.key);
+    EXPECT_EQ(latest.value, want.value) << key;
+    EXPECT_EQ(latest.start, want.start) << key;
+    EXPECT_EQ(latest.order_no, want.order_no) << key;
+    EXPECT_EQ(latest.stamped, want.stamped) << key;
+    EXPECT_FALSE(latest.eol) << key;
+  }
+
+  // Levels from the root down to the leaves, both included.
+  size_t Height() {
+    size_t height = 1;
+    PageId pgno = tree_->root();
+    Page* page = nullptr;
+    EXPECT_TRUE(cache_->FetchPage(pgno, &page).ok());
+    while (page->type() != PageType::kBtreeLeaf) {
+      IndexEntry e;
+      EXPECT_TRUE(DecodeIndexEntry(page->RecordAt(0), &e).ok());
+      cache_->Unpin(pgno, false);
+      pgno = e.child;
+      EXPECT_TRUE(cache_->FetchPage(pgno, &page).ok());
+      ++height;
+    }
+    cache_->Unpin(pgno, false);
+    return height;
+  }
+
+  static uint64_t LatestFallbacks() {
+    return obs::MetricsRegistry::Global()
+        .GetCounter("btree.latest_fallbacks")
+        ->Value();
   }
 
   static constexpr uint32_t kTreeId = 7;
@@ -167,6 +260,209 @@ TEST_F(BtreeTest, SingleKeyManyVersionsSpansPages) {
   TupleData t;
   ASSERT_TRUE(tree_->GetLatest("hotkey", &t).ok());
   EXPECT_EQ(t.value, "v" + std::to_string(kN - 1));
+}
+
+TEST_F(BtreeTest, GetLatestMatchesVersionWalk) {
+  // Every key is created up front in ascending order, so no later insert
+  // lands below the tree's minimum key.
+  std::vector<std::string> keys;
+  uint64_t start = 1;
+  for (int i = 0; i < 40; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%03d", i);
+    keys.push_back(key);
+    Put(key, "initial", start++);
+  }
+  // A small hot set gets thousands of updates, deletes, re-inserts and
+  // undone versions, so its version threads span many leaves and leaf
+  // boundaries fall at every position within a thread.
+  const std::vector<std::string> hot(keys.begin() + 17, keys.begin() + 23);
+  Random rng(2024);
+  std::map<LatestPath, int> paths;
+  uint64_t fallbacks_before = LatestFallbacks();
+  int expected_fallbacks = 0;
+  auto check = [&](const std::string& key) {
+    LatestPath path = ClassifyLatest(key);
+    ++paths[path];
+    if (path == LatestPath::kSlotZero ||
+        path == LatestPath::kSiblingSameKey) {
+      ++expected_fallbacks;
+    }
+    ExpectLatestMatchesWalk(key);
+  };
+  for (int op = 0; op < 6000; ++op) {
+    const std::string& key = hot[rng.Uniform(hot.size())];
+    std::vector<TupleData> versions;
+    ASSERT_TRUE(tree_->GetVersions(key, &versions).ok());
+    bool live = !versions.empty() && !versions.back().eol;
+    uint64_t dice = rng.Uniform(100);
+    if (dice < 70 || versions.empty()) {
+      Put(key, rng.Bytes(1 + rng.Uniform(40)), start++);  // update/re-insert
+    } else if (dice < 80 && live) {
+      Del(key, start++);
+    } else {
+      // Undo the newest few versions, as aborts do; now and then shred
+      // the whole thread, as the vacuum does for an expired record.
+      size_t n = std::min<size_t>(versions.size(), 1 + rng.Uniform(4));
+      if (rng.OneIn(60)) n = versions.size();
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t newest = versions[versions.size() - 1 - i].start;
+        ASSERT_TRUE(
+            tree_->RemoveVersion(nullptr, key, newest, false, 0).ok());
+      }
+    }
+    check(key);
+    check(keys[rng.Uniform(keys.size())]);
+  }
+  ExpectIntegrityOk();
+
+  // Split-then-read: a split moved the end of a thread into a new right
+  // sibling after the reader's descent. Recreate that state by taking a
+  // thread's last leaf out of its parent (the leaf chain still links it)
+  // and read the key through its left neighbour.
+  bool half_split = false;
+  for (const std::string& key : hot) {
+    PageId pgno = tree_->root();
+    Page* page = nullptr;
+    ASSERT_TRUE(cache_->FetchPage(pgno, &page).ok());
+    PageId parent = kInvalidPage;
+    uint16_t idx = 0;
+    while (page->type() != PageType::kBtreeLeaf) {
+      parent = pgno;
+      idx = InternalFindChild(*page, key, UINT64_MAX);
+      IndexEntry e;
+      ASSERT_TRUE(DecodeIndexEntry(page->RecordAt(idx), &e).ok());
+      cache_->Unpin(pgno, false);
+      pgno = e.child;
+      ASSERT_TRUE(cache_->FetchPage(pgno, &page).ok());
+    }
+    TupleData first;
+    bool candidate = page->slot_count() > 0 &&
+                     DecodeTuple(page->RecordAt(0), &first).ok() &&
+                     first.key == key && idx > 0;
+    cache_->Unpin(pgno, false);
+    if (!candidate) continue;
+    std::vector<TupleData> versions;
+    ASSERT_TRUE(tree_->GetVersions(key, &versions).ok());
+    if (versions.empty() || versions.front().start == first.start) continue;
+
+    Page* p = nullptr;
+    ASSERT_TRUE(cache_->FetchPage(parent, &p).ok());
+    std::string entry = p->RecordAt(idx).ToString();
+    ASSERT_TRUE(p->EraseRecord(idx).ok());
+    cache_->Unpin(parent, true);
+
+    ASSERT_EQ(ClassifyLatest(key), LatestPath::kSiblingSameKey) << key;
+    uint64_t before = LatestFallbacks();
+    ExpectLatestMatchesWalk(key);
+    EXPECT_EQ(LatestFallbacks() - before, 1u);
+
+    ASSERT_TRUE(cache_->FetchPage(parent, &p).ok());
+    ASSERT_TRUE(p->InsertRecord(idx, entry).ok());
+    cache_->Unpin(parent, true);
+    half_split = true;
+    break;
+  }
+  ASSERT_TRUE(half_split) << "no hot thread spans into its newest leaf";
+  ExpectIntegrityOk();
+
+  EXPECT_GT(paths[LatestPath::kInLeaf], 0);
+  EXPECT_GT(paths[LatestPath::kSiblingLarger], 0);
+  EXPECT_GT(paths[LatestPath::kSlotZero], 0);
+  // Each walk the classification predicts is taken, and no other.
+  EXPECT_EQ(LatestFallbacks() - fallbacks_before - 1,
+            static_cast<uint64_t>(expected_fallbacks));
+}
+
+TEST_F(BtreeTest, GetLatestFetchesAtMostHeightPlusTwoPages) {
+  Put("a", "a", 1);
+  Put("hot", "v0", 2);
+  Put("z", "z", 3);
+  const int kN = 600;
+  for (int i = 1; i <= kN; ++i) {
+    Put("hot", "v" + std::to_string(i), static_cast<uint64_t>(3 + i));
+  }
+  std::set<PageId> thread_leaves;
+  ASSERT_TRUE(tree_
+                  ->ScanAll([&](PageId pgno, const TupleData& t) {
+                    if (t.key == "hot") thread_leaves.insert(pgno);
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_GE(thread_leaves.size(), 4u);
+  size_t height = Height();
+
+  uint64_t before = cache_->hits() + cache_->misses();
+  TupleData t;
+  ASSERT_TRUE(tree_->GetLatest("hot", &t).ok());
+  uint64_t fetched = cache_->hits() + cache_->misses() - before;
+  EXPECT_EQ(t.value, "v" + std::to_string(kN));
+  // The descent, the leaf refetched under its latch, and at most one peek
+  // at the right sibling: none of the thread's other leaves.
+  EXPECT_LE(fetched, height + 2) << "height " << height;
+}
+
+TEST_F(BtreeTest, ConcurrentGetLatestDuringSplits) {
+  // Readers probe hot keys while the writer adds versions to them, which
+  // splits leaves and grows the root under the readers. A value is
+  // "key#seq" with seq rising per key.
+  constexpr int kHot = 4;
+  constexpr int kVersions = 2400;
+  auto value = [](int k, uint64_t seq) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "h%d#%06" PRIu64, k, seq);
+    return std::string(buf);
+  };
+  uint64_t start = 1;
+  for (int k = 0; k < kHot; ++k) {
+    Put("h" + std::to_string(k), value(k, 0), start++);
+  }
+  auto& reg = obs::MetricsRegistry::Global();
+  uint64_t grows_before = reg.GetCounter("btree.root_grows")->Value();
+  uint64_t splits_before = reg.GetCounter("btree.key_splits")->Value();
+
+  std::array<std::atomic<uint64_t>, kHot> written{};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      std::array<uint64_t, kHot> last{};
+      Random rng(100 + r);
+      while (!done.load()) {
+        int k = static_cast<int>(rng.Uniform(kHot));
+        TupleData t;
+        Status s = tree_->GetLatest("h" + std::to_string(k), &t);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        uint64_t ceiling = written[k].load();
+        std::string prefix = "h" + std::to_string(k) + "#";
+        ASSERT_EQ(t.value.compare(0, prefix.size(), prefix), 0) << t.value;
+        uint64_t seq = std::stoull(t.value.substr(prefix.size()));
+        EXPECT_LE(seq, ceiling) << "never-inserted value " << t.value;
+        EXPECT_GE(seq, last[k]) << "read went backwards: " << t.value;
+        last[k] = seq;
+        reads.fetch_add(1);
+      }
+    });
+  }
+  std::array<uint64_t, kHot> seq{};
+  for (int i = 0; i < kVersions; ++i) {
+    int k = i % kHot;
+    written[k].store(++seq[k]);
+    Put("h" + std::to_string(k), value(k, seq[k]), start++);
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_GE(reg.GetCounter("btree.root_grows")->Value() - grows_before, 1u);
+  EXPECT_GT(reg.GetCounter("btree.key_splits")->Value() - splits_before, 0u);
+  EXPECT_GT(reads.load(), 0u);
+  ExpectIntegrityOk();
+  for (int k = 0; k < kHot; ++k) {
+    TupleData t;
+    ASSERT_TRUE(tree_->GetLatest("h" + std::to_string(k), &t).ok());
+    EXPECT_EQ(t.value, value(k, seq[k]));
+  }
 }
 
 TEST_F(BtreeTest, ScanAllInOrder) {

@@ -4,8 +4,10 @@
 
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include "common/clock.h"
+#include "common/random.h"
 
 namespace complydb {
 namespace {
@@ -186,6 +188,42 @@ TEST_F(WormStoreTest, RecreateAfterLegitimateDelete) {
   auto info = store_->GetInfo("cycle");
   ASSERT_TRUE(info.ok());
   EXPECT_GT(info.value().create_time_micros, t0);
+}
+
+TEST_F(WormStoreTest, ReadAllLargeFileRoundTrip) {
+  ASSERT_TRUE(store_->Create("big", kHour).ok());
+  Random rng(7);
+  std::string expected;
+  const int kChunks = 10;
+  for (int i = 0; i < kChunks; ++i) {
+    std::string chunk(512 * 1024 + rng.Uniform(4096), '\0');
+    for (auto& ch : chunk) ch = static_cast<char>(rng.Next());
+    // Alternate flushed appends with buffered ones; the last chunk stays
+    // in the append buffer, which ReadAll must drain before reading.
+    if (i % 2 == 0) {
+      ASSERT_TRUE(store_->Append("big", chunk).ok());
+    } else {
+      ASSERT_TRUE(store_->AppendUnflushed("big", chunk).ok());
+      if (i != kChunks - 1) ASSERT_TRUE(store_->FlushAppends("big").ok());
+    }
+    expected += chunk;
+  }
+  ASSERT_GE(expected.size(), 4u << 20);
+  std::string out;
+  ASSERT_TRUE(store_->ReadAll("big", &out).ok());
+  ASSERT_EQ(out.size(), expected.size());
+  EXPECT_TRUE(out == expected);
+}
+
+TEST_F(WormStoreTest, ReadAllDetectsTruncatedBackingFile) {
+  ASSERT_TRUE(store_->Create("log", kHour).ok());
+  ASSERT_TRUE(store_->Append("log", std::string(10000, 'x')).ok());
+  std::string out;
+  ASSERT_TRUE(store_->ReadAll("log", &out).ok());
+  // Out-of-band edit of the backing directory: the file loses its tail.
+  std::filesystem::resize_file(dir_ + "/log", 9000);
+  Status s = store_->ReadAll("log", &out);
+  EXPECT_TRUE(s.IsTampered()) << s.ToString();
 }
 
 }  // namespace
